@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace dl {
 
@@ -19,10 +20,19 @@ class Error : public std::runtime_error {
 };
 
 namespace detail {
+/// `file` from its last `src/` component on, so a message names the same
+/// location whatever directory the tree was built in.  Paths without one
+/// are returned whole.
+[[nodiscard]] inline std::string_view source_path(std::string_view file) {
+  const std::size_t pos = file.rfind("/src/");
+  if (pos != std::string_view::npos) return file.substr(pos + 1);
+  return file;
+}
+
 [[noreturn]] inline void raise(const char* file, int line, const char* expr,
                                const std::string& msg) {
   std::ostringstream os;
-  os << file << ":" << line << ": requirement failed: " << expr;
+  os << source_path(file) << ":" << line << ": requirement failed: " << expr;
   if (!msg.empty()) os << " — " << msg;
   throw Error(os.str());
 }

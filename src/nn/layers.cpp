@@ -27,65 +27,113 @@ Conv2d::Conv2d(std::size_t in_ch, std::size_t out_ch, std::size_t kernel,
                                in_ch * kernel * kernel, rng));
 }
 
-void Conv2d::im2col(const Tensor& x, std::size_t n,
-                    std::vector<float>& cols) const {
+namespace {
+/// Output positions [lo, hi) along one axis whose input coordinate
+/// o * stride + tap - pad falls inside [0, in): the unpadded span of one
+/// kernel tap.  Outside it the tap reads padding.
+struct TapSpan {
+  std::size_t lo, hi;
+};
+TapSpan tap_span(std::size_t tap, std::size_t in, std::size_t out,
+                 std::size_t stride, std::size_t pad) {
+  const auto ceil_div = [stride](std::size_t v) {
+    return (v + stride - 1) / stride;
+  };
+  const std::size_t lo = std::min(out, tap >= pad ? 0 : ceil_div(pad - tap));
+  const std::size_t hi = tap >= in + pad ? 0 : ceil_div(in + pad - tap);
+  return {lo, std::clamp(hi, lo, out)};
+}
+}  // namespace
+
+void Conv2d::im2col(const Tensor& x, std::size_t n, float* cols,
+                    PatchLayout layout) const {
   const std::size_t h = x.dim(2), w = x.dim(3);
   const std::size_t ho = out_size(h), wo = out_size(w);
   const std::size_t patch = in_ch_ * kernel_ * kernel_;
-  cols.assign(patch * ho * wo, 0.0f);
-  for (std::size_t c = 0; c < in_ch_; ++c) {
-    for (std::size_t kh = 0; kh < kernel_; ++kh) {
-      for (std::size_t kw = 0; kw < kernel_; ++kw) {
-        const std::size_t prow = (c * kernel_ + kh) * kernel_ + kw;
-        float* dst = cols.data() + prow * ho * wo;
-        for (std::size_t oh = 0; oh < ho; ++oh) {
-          const std::int64_t ih =
-              static_cast<std::int64_t>(oh * stride_ + kh) -
-              static_cast<std::int64_t>(pad_);
-          if (ih < 0 || ih >= static_cast<std::int64_t>(h)) {
-            dst += wo;
-            continue;
+  // Tap prow = (c, kh, kw) of output pixel i = oh * wo + ow lands at
+  // cols[prow * prow_step + i * pix_step].
+  const bool by_patch = layout == PatchLayout::kPatchRows;
+  const std::size_t prow_step = by_patch ? ho * wo : 1;
+  const std::size_t pix_step = by_patch ? 1 : patch;
+  // Output rows are filled a block at a time, tap by tap.  A patch row is
+  // contiguous, so one block covers the map; pixel rows interleave all
+  // taps, so their block is sized to stay in L1 while every tap visits it.
+  constexpr std::size_t kPixelBlockFloats = 8192;
+  const std::size_t block_rows =
+      by_patch ? ho : std::max<std::size_t>(1, kPixelBlockFloats / (wo * patch));
+  // At stride 1 with input rows as long as output rows, a tap's unpadded
+  // pixels in consecutive output rows read one run of the input plane:
+  // pixel i reads plane[i + kh * w + kw - pad * (w + 1)], so a patch row
+  // is filled by one contiguous copy.  The copy also passes over the
+  // padding columns between rows; those are zeroed after it.
+  const bool one_run = by_patch && stride_ == 1 && w == wo;
+  const float* sample = x.data() + x.index4(n, 0, 0, 0);
+  const auto zero = [pix_step](float* dst, std::size_t i0, std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i) dst[i * pix_step] = 0.0f;
+  };
+  for (std::size_t b0 = 0; b0 < ho; b0 += block_rows) {
+    const std::size_t b1 = std::min(ho, b0 + block_rows);
+    for (std::size_t c = 0; c < in_ch_; ++c) {
+      const float* plane = sample + c * h * w;
+      for (std::size_t kh = 0; kh < kernel_; ++kh) {
+        const TapSpan rows = tap_span(kh, h, ho, stride_, pad_);
+        const std::size_t r0 = std::clamp(rows.lo, b0, b1);
+        const std::size_t r1 = std::clamp(rows.hi, r0, b1);
+        for (std::size_t kw = 0; kw < kernel_; ++kw) {
+          const TapSpan span = tap_span(kw, w, wo, stride_, pad_);
+          float* dst = cols + ((c * kernel_ + kh) * kernel_ + kw) * prow_step;
+          zero(dst, b0 * wo, r0 * wo);
+          if (one_run && r0 < r1 && span.lo < span.hi) {
+            const std::size_t first = r0 * wo + span.lo;
+            const std::size_t last = (r1 - 1) * wo + span.hi;
+            const std::size_t shift = kh * w + kw, back = pad_ * (w + 1);
+            for (std::size_t i = first; i < last; ++i) {
+              dst[i] = plane[i + shift - back];
+            }
+            for (std::size_t oh = r0; oh < r1; ++oh) {
+              zero(dst, oh * wo, oh * wo + span.lo);
+              zero(dst, oh * wo + span.hi, (oh + 1) * wo);
+            }
+          } else {
+            for (std::size_t oh = r0; oh < r1; ++oh) {
+              const float* row = plane + (oh * stride_ + kh - pad_) * w;
+              float* d = dst + oh * wo * pix_step;
+              zero(d, 0, span.lo);
+              for (std::size_t ow = span.lo; ow < span.hi; ++ow) {
+                d[ow * pix_step] = row[ow * stride_ + kw - pad_];
+              }
+              zero(d, span.hi, wo);
+            }
           }
-          for (std::size_t ow = 0; ow < wo; ++ow) {
-            const std::int64_t iw =
-                static_cast<std::int64_t>(ow * stride_ + kw) -
-                static_cast<std::int64_t>(pad_);
-            *dst++ = (iw < 0 || iw >= static_cast<std::int64_t>(w))
-                         ? 0.0f
-                         : x.at4(n, c, static_cast<std::size_t>(ih),
-                                 static_cast<std::size_t>(iw));
-          }
+          zero(dst, r1 * wo, b1 * wo);
         }
       }
     }
   }
 }
 
-void Conv2d::col2im(const std::vector<float>& cols, std::size_t n,
-                    Tensor& grad_in) const {
+void Conv2d::col2im(const float* cols, std::size_t n, Tensor& grad_in) const {
   const std::size_t h = grad_in.dim(2), w = grad_in.dim(3);
   const std::size_t ho = out_size(h), wo = out_size(w);
+  float* sample = grad_in.data() + grad_in.index4(n, 0, 0, 0);
+  // Taps are added in (c, kh, kw, oh, ow) order, so every input element
+  // sums its contributions in ascending (kh, kw).
   for (std::size_t c = 0; c < in_ch_; ++c) {
     for (std::size_t kh = 0; kh < kernel_; ++kh) {
+      const TapSpan rows = tap_span(kh, h, ho, stride_, pad_);
       for (std::size_t kw = 0; kw < kernel_; ++kw) {
+        const TapSpan span = tap_span(kw, w, wo, stride_, pad_);
         const std::size_t prow = (c * kernel_ + kh) * kernel_ + kw;
-        const float* src = cols.data() + prow * ho * wo;
-        for (std::size_t oh = 0; oh < ho; ++oh) {
-          const std::int64_t ih =
-              static_cast<std::int64_t>(oh * stride_ + kh) -
-              static_cast<std::int64_t>(pad_);
-          if (ih < 0 || ih >= static_cast<std::int64_t>(h)) {
-            src += wo;
-            continue;
-          }
-          for (std::size_t ow = 0; ow < wo; ++ow) {
-            const std::int64_t iw =
-                static_cast<std::int64_t>(ow * stride_ + kw) -
-                static_cast<std::int64_t>(pad_);
-            const float v = *src++;
-            if (iw >= 0 && iw < static_cast<std::int64_t>(w)) {
-              grad_in.at4(n, c, static_cast<std::size_t>(ih),
-                          static_cast<std::size_t>(iw)) += v;
+        for (std::size_t oh = rows.lo; oh < rows.hi; ++oh) {
+          const float* src = cols + (prow * ho + oh) * wo;
+          float* row = sample + (c * h + oh * stride_ + kh - pad_) * w;
+          if (stride_ == 1) {
+            for (std::size_t ow = span.lo; ow < span.hi; ++ow) {
+              row[ow + kw - pad_] += src[ow];
+            }
+          } else {
+            for (std::size_t ow = span.lo; ow < span.hi; ++ow) {
+              row[ow * stride_ + kw - pad_] += src[ow];
             }
           }
         }
@@ -106,8 +154,9 @@ Tensor Conv2d::forward(const Tensor& x, bool) {
   dl::parallel::parallel_for(
       0, batch, 1, [&](std::size_t n0, std::size_t n1, std::size_t) {
         thread_local std::vector<float> cols;
+        if (cols.size() < patch * ho * wo) cols.resize(patch * ho * wo);
         for (std::size_t n = n0; n < n1; ++n) {
-          im2col(x, n, cols);
+          im2col(x, n, cols.data(), PatchLayout::kPatchRows);
           // y[n] = W[out_ch, patch] * cols[patch, ho*wo]
           gemm(out_ch_, patch, ho * wo, weight_.value.data(), cols.data(),
                y.data() + n * out_ch_ * ho * wo);
@@ -126,7 +175,9 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   // chunk grid depends only on the batch size and the constant grain,
   // never on the thread count, and partials merge serially in chunk
   // order — so the gradient is bit-identical for any DL_THREADS value.
-  // grad_in slabs are disjoint per sample.
+  // grad_in slabs are disjoint per sample.  The patch matrix is rebuilt
+  // here rather than kept from forward: a cached copy would hold
+  // batch x patch x ho*wo floats per layer for the whole backward pass.
   constexpr std::size_t kBwdGrain = 4;  // samples per dW partial
   const std::size_t wsize = weight_.grad.numel();
   std::vector<std::vector<float>> dw_partial(
@@ -136,19 +187,20 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
       [&](std::size_t n0, std::size_t n1, std::size_t ci) {
         thread_local std::vector<float> cols;
         thread_local std::vector<float> dcols;
+        if (cols.size() < patch * ho * wo) cols.resize(patch * ho * wo);
         if (dcols.size() < patch * ho * wo) dcols.resize(patch * ho * wo);
         auto& dw = dw_partial[ci];
         dw.assign(wsize, 0.0f);
         for (std::size_t n = n0; n < n1; ++n) {
-          im2col(x, n, cols);
+          im2col(x, n, cols.data(), PatchLayout::kPixelRows);
           const float* dy = grad_out.data() + n * out_ch_ * ho * wo;
-          // dW[out_ch, patch] += dy[out_ch, ho*wo] * cols[patch, ho*wo]^T
-          gemm_bt(out_ch_, ho * wo, patch, dy, cols.data(), dw.data(),
-                  /*accumulate=*/true);
+          // dW[out_ch, patch] += dy[out_ch, ho*wo] * cols[ho*wo, patch]
+          gemm(out_ch_, ho * wo, patch, dy, cols.data(), dw.data(),
+               /*accumulate=*/true);
           // dcols[patch, ho*wo] = W^T[patch, out_ch] * dy[out_ch, ho*wo]
           gemm_at(patch, out_ch_, ho * wo, weight_.value.data(), dy,
                   dcols.data());
-          col2im(dcols, n, grad_in);
+          col2im(dcols.data(), n, grad_in);
         }
       });
   float* dw_out = weight_.grad.data();
@@ -311,15 +363,21 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
 
 Tensor ReLU::forward(const Tensor& x, bool) {
   Tensor y(x.shape());
-  mask_.assign(x.numel(), 0);
+  mask_.resize(x.numel());
   dl::parallel::parallel_for(
       0, x.numel(), kEwGrain,
       [&](std::size_t i0, std::size_t i1, std::size_t) {
+        // Local pointers: a store through the uint8_t mask may alias any
+        // object in memory, so pointers read from it (or from a capture)
+        // would reload every step and keep the loop from vectorizing.
+        const float* in = x.data();
+        float* out = y.data();
+        std::uint8_t* mask = mask_.data();
         for (std::size_t i = i0; i < i1; ++i) {
-          if (x[i] > 0.0f) {
-            y[i] = x[i];
-            mask_[i] = 1;
-          }
+          // NaN, -0 and -inf all fail the test and map to +0.
+          const bool pos = in[i] > 0.0f;
+          out[i] = pos ? in[i] : 0.0f;
+          mask[i] = pos;
         }
       });
   return y;
@@ -330,9 +388,11 @@ Tensor ReLU::backward(const Tensor& grad_out) {
   dl::parallel::parallel_for(
       0, grad_out.numel(), kEwGrain,
       [&](std::size_t i0, std::size_t i1, std::size_t) {
-        for (std::size_t i = i0; i < i1; ++i) {
-          grad_in[i] = mask_[i] ? grad_out[i] : 0.0f;
-        }
+        // Local pointers, as in forward, so the select vectorizes.
+        const std::uint8_t* mask = mask_.data();
+        const float* dy = grad_out.data();
+        float* dx = grad_in.data();
+        for (std::size_t i = i0; i < i1; ++i) dx[i] = mask[i] ? dy[i] : 0.0f;
       });
   return grad_in;
 }

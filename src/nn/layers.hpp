@@ -33,9 +33,15 @@ class Conv2d final : public Layer {
   [[nodiscard]] std::size_t out_size(std::size_t in) const {
     return (in + 2 * pad_ - kernel_) / stride_ + 1;
   }
-  void im2col(const Tensor& x, std::size_t n, std::vector<float>& cols) const;
-  void col2im(const std::vector<float>& cols, std::size_t n,
-              Tensor& grad_in) const;
+  /// Patch-matrix layouts.  Forward multiplies W[out_ch, patch] by
+  /// [patch x ho*wo] (kPatchRows); the weight gradient multiplies
+  /// dy[out_ch, ho*wo] by the k-major [ho*wo x patch] (kPixelRows).
+  enum class PatchLayout { kPatchRows, kPixelRows };
+  /// Writes sample n's patch matrix into `cols` (patch * ho*wo floats).
+  void im2col(const Tensor& x, std::size_t n, float* cols,
+              PatchLayout layout) const;
+  /// Adds a [patch x ho*wo] patch gradient into sample n of `grad_in`.
+  void col2im(const float* cols, std::size_t n, Tensor& grad_in) const;
 };
 
 class Linear final : public Layer {

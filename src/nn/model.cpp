@@ -50,9 +50,11 @@ LossResult softmax_cross_entropy(const Tensor& logits,
   res.grad = Tensor(logits.shape());
   double total = 0.0;
   for (std::size_t n = 0; n < batch; ++n) {
-    float maxv = -1e30f;
+    // Seed max/argmax from class 0: a sentinel start value misreports both
+    // when every logit sits at or below it.
+    float maxv = logits.at2(n, 0);
     std::size_t argmax = 0;
-    for (std::size_t c = 0; c < classes; ++c) {
+    for (std::size_t c = 1; c < classes; ++c) {
       if (logits.at2(n, c) > maxv) {
         maxv = logits.at2(n, c);
         argmax = c;

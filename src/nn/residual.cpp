@@ -24,13 +24,18 @@ Tensor BasicBlock::forward(const Tensor& x, bool train) {
   DL_REQUIRE(shortcut.numel() == main.numel(), "shortcut shape mismatch");
 
   Tensor y(main.shape());
-  relu_mask_.assign(main.numel(), 0);
-  for (std::size_t i = 0; i < main.numel(); ++i) {
-    const float pre = main[i] + shortcut[i];
-    if (pre > 0.0f) {
-      y[i] = pre;
-      relu_mask_[i] = 1;
-    }
+  relu_mask_.resize(main.numel());
+  // Local pointers, as in ReLU::forward: the uint8_t mask store may alias
+  // any object, which would otherwise stop the loop from vectorizing.
+  const float* a = main.data();
+  const float* b = shortcut.data();
+  float* out = y.data();
+  std::uint8_t* mask = relu_mask_.data();
+  for (std::size_t i = 0, count = main.numel(); i < count; ++i) {
+    const float pre = a[i] + b[i];
+    const bool pos = pre > 0.0f;
+    out[i] = pos ? pre : 0.0f;
+    mask[i] = pos;
   }
   return y;
 }

@@ -43,11 +43,6 @@ std::size_t Tensor::dim(std::size_t i) const {
   return shape_[i];
 }
 
-std::size_t Tensor::index4(std::size_t n, std::size_t c, std::size_t h,
-                           std::size_t w) const {
-  return ((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w;
-}
-
 void Tensor::fill(float v) { std::fill(data_.begin(), data_.end(), v); }
 
 void Tensor::reshape(std::vector<std::size_t> shape) {
@@ -69,22 +64,25 @@ std::string Tensor::shape_string() const {
 
 // ------------------------------------------------------------ blocked GEMM
 //
-// All three products reduce to one axpy-style panel kernel over a k-major
-// B operand:  C[i, j] += a(i, p) * B[p, j]  with p ascending.  Blocking:
+// All three products reduce to one panel kernel over a k-major B operand:
+// C[i, j] += a(i, p) * B[p, j]  with p ascending.  Blocking:
 //   - kKc x kJc panels of B stay cache-resident across the row sweep;
-//   - 4 rows of A are register-tiled per pass, so every B row loaded from
-//     memory feeds 4 C rows (4x bandwidth reuse over the naive loop);
-//   - the contiguous j loop auto-vectorizes.
+//   - a kMr x kNr tile of C stays in registers for a whole k panel: each
+//     step loads one kNr-wide B row and kMr A values and does kMr x kNr
+//     multiply-adds, and the tile is loaded and stored once per panel;
+//   - the column tail (< kNr) and row tail (< kMr) keep the axpy form.
 // gemm_bt first transposes B into a k-major thread-local scratch and then
-// reuses the same kernel.  Accumulation order per C element is ascending p
-// in ascending kKc blocks — fixed by construction, so results do not
-// depend on how rows are distributed over threads.
+// reuses the same kernel.  Every C element gets c += a * b in ascending p
+// in ascending kKc blocks, in the tile and in both tails alike — fixed by
+// construction, so results do not depend on how rows are distributed over
+// threads and match reference::gemm / reference::gemm_at bit for bit.
 
 namespace {
 
 constexpr std::size_t kKc = 128;  ///< k panel height
 constexpr std::size_t kJc = 512;  ///< j panel width
-constexpr std::size_t kMr = 4;    ///< register-tiled A rows
+constexpr std::size_t kMr = 4;    ///< register-tile rows of A and C
+constexpr std::size_t kNr = 16;   ///< register-tile columns of B and C
 
 /// C[i0..i1) x [j0..j1) += A * B for p in [p0..p1).  `b` is k-major with
 /// row stride n.  AT selects the A layout: a(i,p) = a[p*lda + i] (lda = m)
@@ -93,43 +91,62 @@ template <bool AT>
 void panel_axpy(const float* a, std::size_t lda, const float* b, float* c,
                 std::size_t n, std::size_t i0, std::size_t i1, std::size_t p0,
                 std::size_t p1, std::size_t j0, std::size_t j1) {
-  const std::size_t jn = j1 - j0;
+  const auto a_at = [&](std::size_t i, std::size_t p) {
+    return AT ? a[p * lda + i] : a[i * lda + p];
+  };
   std::size_t i = i0;
   for (; i + kMr <= i1; i += kMr) {
-    float* c0 = c + (i + 0) * n + j0;
-    float* c1 = c + (i + 1) * n + j0;
-    float* c2 = c + (i + 2) * n + j0;
-    float* c3 = c + (i + 3) * n + j0;
-    for (std::size_t p = p0; p < p1; ++p) {
-      float a0, a1, a2, a3;
-      if constexpr (AT) {
-        const float* ap = a + p * lda + i;
-        a0 = ap[0];
-        a1 = ap[1];
-        a2 = ap[2];
-        a3 = ap[3];
-      } else {
-        a0 = a[(i + 0) * lda + p];
-        a1 = a[(i + 1) * lda + p];
-        a2 = a[(i + 2) * lda + p];
-        a3 = a[(i + 3) * lda + p];
+    std::size_t j = j0;
+    for (; j + kNr <= j1; j += kNr) {
+      // The C tile lives in t0..t3 (registers) for the whole k panel.
+      float t0[kNr], t1[kNr], t2[kNr], t3[kNr];
+      std::copy_n(c + (i + 0) * n + j, kNr, t0);
+      std::copy_n(c + (i + 1) * n + j, kNr, t1);
+      std::copy_n(c + (i + 2) * n + j, kNr, t2);
+      std::copy_n(c + (i + 3) * n + j, kNr, t3);
+      for (std::size_t p = p0; p < p1; ++p) {
+        const float a0 = a_at(i + 0, p), a1 = a_at(i + 1, p),
+                    a2 = a_at(i + 2, p), a3 = a_at(i + 3, p);
+        const float* bp = b + p * n + j;
+        for (std::size_t q = 0; q < kNr; ++q) {
+          const float bv = bp[q];
+          t0[q] += a0 * bv;
+          t1[q] += a1 * bv;
+          t2[q] += a2 * bv;
+          t3[q] += a3 * bv;
+        }
       }
-      const float* bp = b + p * n + j0;
-      for (std::size_t j = 0; j < jn; ++j) {
-        const float bv = bp[j];
-        c0[j] += a0 * bv;
-        c1[j] += a1 * bv;
-        c2[j] += a2 * bv;
-        c3[j] += a3 * bv;
+      std::copy_n(t0, kNr, c + (i + 0) * n + j);
+      std::copy_n(t1, kNr, c + (i + 1) * n + j);
+      std::copy_n(t2, kNr, c + (i + 2) * n + j);
+      std::copy_n(t3, kNr, c + (i + 3) * n + j);
+    }
+    if (j == j1) continue;
+    // Column tail narrower than the tile: axpy through memory.
+    float* c0 = c + (i + 0) * n;
+    float* c1 = c + (i + 1) * n;
+    float* c2 = c + (i + 2) * n;
+    float* c3 = c + (i + 3) * n;
+    for (std::size_t p = p0; p < p1; ++p) {
+      const float a0 = a_at(i + 0, p), a1 = a_at(i + 1, p),
+                  a2 = a_at(i + 2, p), a3 = a_at(i + 3, p);
+      const float* bp = b + p * n;
+      for (std::size_t jj = j; jj < j1; ++jj) {
+        const float bv = bp[jj];
+        c0[jj] += a0 * bv;
+        c1[jj] += a1 * bv;
+        c2[jj] += a2 * bv;
+        c3[jj] += a3 * bv;
       }
     }
   }
+  // Row tail (< kMr rows).
   for (; i < i1; ++i) {
-    float* crow = c + i * n + j0;
+    float* crow = c + i * n;
     for (std::size_t p = p0; p < p1; ++p) {
-      const float av = AT ? a[p * lda + i] : a[i * lda + p];
-      const float* bp = b + p * n + j0;
-      for (std::size_t j = 0; j < jn; ++j) crow[j] += av * bp[j];
+      const float av = a_at(i, p);
+      const float* bp = b + p * n;
+      for (std::size_t jj = j0; jj < j1; ++jj) crow[jj] += av * bp[jj];
     }
   }
 }

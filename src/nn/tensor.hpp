@@ -39,9 +39,11 @@ class Tensor {
   float& operator[](std::size_t i) { return data_[i]; }
   float operator[](std::size_t i) const { return data_[i]; }
 
-  /// 4-D accessor (NCHW).
+  /// 4-D accessor (NCHW).  Inline: the layers call it per element.
   [[nodiscard]] std::size_t index4(std::size_t n, std::size_t c, std::size_t h,
-                                   std::size_t w) const;
+                                   std::size_t w) const {
+    return ((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w;
+  }
   float& at4(std::size_t n, std::size_t c, std::size_t h, std::size_t w) {
     return data_[index4(n, c, h, w)];
   }
@@ -87,10 +89,11 @@ struct Param {
 /// C = A(mxk) * B(kxn), accumulating into C when `accumulate` is set.
 /// The single GEMM kernel behind conv (im2col) and linear layers.
 ///
-/// All three kernels are cache-blocked, register-tiled (4 A-rows per inner
-/// kernel, vectorizable j loop) and run on the dl::parallel pool.  Each
-/// C element accumulates its k products in ascending-p order regardless of
-/// the thread count, so results are bit-identical for any DL_THREADS.
+/// All three kernels are cache-blocked, keep a 4x16 C tile in registers
+/// across each k panel, and run on the dl::parallel pool.  Each C element
+/// gets c += a * b for its k products in ascending-p order regardless of
+/// the thread count, so results are bit-identical for any DL_THREADS and
+/// gemm / gemm_at match their reference:: loops bit for bit.
 void gemm(std::size_t m, std::size_t k, std::size_t n, const float* a,
           const float* b, float* c, bool accumulate = false);
 
@@ -98,7 +101,7 @@ void gemm(std::size_t m, std::size_t k, std::size_t n, const float* a,
 void gemm_at(std::size_t m, std::size_t k, std::size_t n, const float* a,
              const float* b, float* c, bool accumulate = false);
 
-/// C = A(mxk) * B^T(nxk): used by weight-gradient computation.
+/// C = A(mxk) * B^T(nxk): used by Linear's forward pass (x * W^T).
 void gemm_bt(std::size_t m, std::size_t k, std::size_t n, const float* a,
              const float* b, float* c, bool accumulate = false);
 

@@ -206,6 +206,16 @@ TEST(AsciiChart, RendersSeries) {
   EXPECT_NE(out.find('*'), std::string::npos);
 }
 
+TEST(Error, SourcePathStartsAtLastSrcComponent) {
+  using dl::detail::source_path;
+  EXPECT_EQ(source_path("/home/ci/checkout/src/traffic/stream.cpp"),
+            "src/traffic/stream.cpp");
+  EXPECT_EQ(source_path("/a/src/b/src/nn/tensor.cpp"), "src/nn/tensor.cpp");
+  EXPECT_EQ(source_path("src/nn/tensor.cpp"), "src/nn/tensor.cpp");
+  EXPECT_EQ(source_path("/work/tests/common_test.cpp"),
+            "/work/tests/common_test.cpp");
+}
+
 TEST(Error, RequireThrowsWithContext) {
   try {
     DL_REQUIRE(false, "context message");

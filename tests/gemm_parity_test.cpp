@@ -1,10 +1,13 @@
 // Parity suite: the blocked, register-tiled GEMM kernels must agree with
 // the naive reference kernels across odd/edge shapes, with and without
-// accumulation, and must propagate NaN/Inf from B (the historical kernels
-// skipped zero A elements, silently masking non-finite B values).
+// accumulation — gemm and gemm_at bit for bit — and must propagate NaN/Inf
+// from B (the historical kernels skipped zero A elements, silently masking
+// non-finite B values).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -26,12 +29,24 @@ void expect_close(const std::vector<float>& got,
                   const std::vector<float>& want, std::size_t k,
                   const std::string& what) {
   ASSERT_EQ(got.size(), want.size());
-  // The blocked kernels accumulate each element in the same ascending-p
-  // order as the reference, so only rounding of the accumulate path can
-  // differ; a k-scaled tolerance is generous.
+  // reference::gemm_bt sums each element as a dot product before adding
+  // it to C, while the blocked kernel adds every product to C in turn, so
+  // the two round differently; a k-scaled tolerance is generous.
   const float tol = 1e-5f * static_cast<float>(k + 1);
   for (std::size_t i = 0; i < got.size(); ++i) {
     ASSERT_NEAR(got[i], want[i], tol) << what << " at " << i;
+  }
+}
+
+/// gemm and gemm_at add every product to C as c += a * b in ascending k,
+/// exactly like their reference loops, so they must agree bit for bit.
+void expect_bitwise(const std::vector<float>& got,
+                    const std::vector<float>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+              std::bit_cast<std::uint32_t>(want[i]))
+        << what << " at " << i << ": " << got[i] << " vs " << want[i];
   }
 }
 
@@ -52,14 +67,14 @@ TEST_P(GemmParity, MatchesReference) {
       auto got = c0, want = c0;
       gemm(m, k, n, a.data(), b.data(), got.data(), accumulate);
       reference::gemm(m, k, n, a.data(), b.data(), want.data(), accumulate);
-      expect_close(got, want, k, "gemm");
+      expect_bitwise(got, want, "gemm");
     }
     {
       auto got = c0, want = c0;
       gemm_at(m, k, n, a.data(), b.data(), got.data(), accumulate);
       reference::gemm_at(m, k, n, a.data(), b.data(), want.data(),
                          accumulate);
-      expect_close(got, want, k, "gemm_at");
+      expect_bitwise(got, want, "gemm_at");
     }
     {
       auto got = c0, want = c0;
@@ -87,16 +102,24 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(2, 1, 1024)));
 
 TEST(GemmParity, MatchesReferenceWhenParallel) {
-  dl::parallel::set_threads(8);
   const std::size_t m = 37, k = 150, n = 530;
   dl::Rng rng(99);
-  const auto a = random_buf(m * k, rng);
+  const auto a = random_buf(m * k, rng);  // also reads as k x m for at
   const auto b = random_buf(k * n, rng);
-  std::vector<float> got(m * n, 0.0f), want(m * n, 0.0f);
-  gemm(m, k, n, a.data(), b.data(), got.data());
-  reference::gemm(m, k, n, a.data(), b.data(), want.data());
-  dl::parallel::set_threads(0);
-  expect_close(got, want, k, "gemm@8threads");
+  const auto c0 = random_buf(m * n, rng);
+  for (const bool accumulate : {false, true}) {
+    SCOPED_TRACE(accumulate ? "accumulate" : "overwrite");
+    auto got = c0, got_at = c0, want = c0, want_at = c0;
+    dl::parallel::set_threads(8);
+    gemm(m, k, n, a.data(), b.data(), got.data(), accumulate);
+    gemm_at(m, k, n, a.data(), b.data(), got_at.data(), accumulate);
+    dl::parallel::set_threads(0);
+    reference::gemm(m, k, n, a.data(), b.data(), want.data(), accumulate);
+    reference::gemm_at(m, k, n, a.data(), b.data(), want_at.data(),
+                       accumulate);
+    expect_bitwise(got, want, "gemm@8threads");
+    expect_bitwise(got_at, want_at, "gemm_at@8threads");
+  }
 }
 
 TEST(GemmNonFinite, NanInBPropagatesPastZeroWeights) {

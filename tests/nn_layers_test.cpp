@@ -1,8 +1,15 @@
 // Layer forward/backward tests, including finite-difference gradient checks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "nn/layers.hpp"
 #include "nn/model.hpp"
@@ -122,6 +129,116 @@ TEST(Conv2d, GradCheck1x1) {
   grad_check(conv, randn({2, 3, 3, 3}, rng, 0.5f));
 }
 
+/// Tap (c, kh, kw) = prow of output pixel (oh, ow) for sample n, read one
+/// element at a time with explicit bounds checks: 0 where it reads padding.
+float naive_tap(const Tensor& x, std::size_t n, std::size_t prow,
+                std::size_t oh, std::size_t ow, std::size_t k, std::size_t s,
+                std::size_t pad) {
+  const std::size_t c = prow / (k * k), kh = prow / k % k, kw = prow % k;
+  const auto ih = static_cast<std::int64_t>(oh * s + kh) -
+                  static_cast<std::int64_t>(pad);
+  const auto iw = static_cast<std::int64_t>(ow * s + kw) -
+                  static_cast<std::int64_t>(pad);
+  if (ih < 0 || iw < 0 || ih >= static_cast<std::int64_t>(x.dim(2)) ||
+      iw >= static_cast<std::int64_t>(x.dim(3))) {
+    return 0.0f;
+  }
+  return x.at4(n, c, static_cast<std::size_t>(ih),
+               static_cast<std::size_t>(iw));
+}
+
+bool same_bits(const float* got, const float* want, std::size_t count) {
+  return std::memcmp(got, want, count * sizeof(float)) == 0;
+}
+
+TEST(Conv2d, MatchesNaiveIm2colBitwise) {
+  // Forward, dW and grad_in must equal, byte for byte, the same GEMM calls
+  // fed by a per-element im2col/col2im: every kernel/stride/pad and input
+  // size where H + 2*pad >= kernel, including stride-2 odd widths, the 1x1
+  // stride-2 projection and inputs narrower than the kernel.
+  constexpr std::size_t kIn = 3, kOut = 5;
+  constexpr std::size_t kBatch = 2;  // one dW partial: grad = 0 + partial
+  const std::size_t sizes[] = {1, 2, 5, 7, 8};
+  std::size_t cases = 0;
+  for (const std::size_t k : {1u, 3u}) {
+    for (const std::size_t s : {1u, 2u}) {
+      for (const std::size_t pad : {0u, 1u}) {
+        for (const std::size_t h : sizes) {
+          for (const std::size_t w : sizes) {
+            if (h + 2 * pad < k || w + 2 * pad < k) continue;
+            ++cases;
+            SCOPED_TRACE("k=" + std::to_string(k) + " s=" + std::to_string(s) +
+                         " pad=" + std::to_string(pad) + " h=" +
+                         std::to_string(h) + " w=" + std::to_string(w));
+            dl::Rng rng(cases);
+            Conv2d conv(kIn, kOut, k, s, pad, rng);
+            const Tensor x = randn({kBatch, kIn, h, w}, rng);
+            const Tensor y = conv.forward(x, /*train=*/true);
+            const std::size_t ho = (h + 2 * pad - k) / s + 1;
+            const std::size_t wo = (w + 2 * pad - k) / s + 1;
+            const std::size_t hw = ho * wo, patch = kIn * k * k;
+            ASSERT_EQ(y.shape(),
+                      (std::vector<std::size_t>{kBatch, kOut, ho, wo}));
+            const float* wt = conv.weight().value.data();
+
+            std::vector<float> cols(patch * hw), want_y(y.numel());
+            for (std::size_t n = 0; n < kBatch; ++n) {
+              for (std::size_t prow = 0; prow < patch; ++prow) {
+                for (std::size_t px = 0; px < hw; ++px) {
+                  cols[prow * hw + px] =
+                      naive_tap(x, n, prow, px / wo, px % wo, k, s, pad);
+                }
+              }
+              gemm(kOut, patch, hw, wt, cols.data(),
+                   want_y.data() + n * kOut * hw);
+            }
+            EXPECT_TRUE(same_bits(y.data(), want_y.data(), y.numel()))
+                << "forward";
+
+            const Tensor dy = randn(y.shape(), rng);
+            const Tensor dx = conv.backward(dy);
+            std::vector<float> dw(kOut * patch, 0.0f), dcols(patch * hw);
+            std::vector<float> want_dx(x.numel(), 0.0f);
+            for (std::size_t n = 0; n < kBatch; ++n) {
+              for (std::size_t px = 0; px < hw; ++px) {
+                for (std::size_t prow = 0; prow < patch; ++prow) {
+                  cols[px * patch + prow] =
+                      naive_tap(x, n, prow, px / wo, px % wo, k, s, pad);
+                }
+              }
+              const float* dyn = dy.data() + n * kOut * hw;
+              gemm(kOut, hw, patch, dyn, cols.data(), dw.data(),
+                   /*accumulate=*/true);
+              gemm_at(patch, kOut, hw, wt, dyn, dcols.data());
+              for (std::size_t prow = 0; prow < patch; ++prow) {
+                const std::size_t c = prow / (k * k), kh = prow / k % k,
+                                  kw = prow % k;
+                for (std::size_t px = 0; px < hw; ++px) {
+                  const std::size_t ih = px / wo * s + kh,
+                                    iw = px % wo * s + kw;
+                  if (ih < pad || iw < pad || ih - pad >= h || iw - pad >= w) {
+                    continue;
+                  }
+                  want_dx[x.index4(n, c, ih - pad, iw - pad)] +=
+                      dcols[prow * hw + px];
+                }
+              }
+            }
+            std::vector<float> want_dw(dw.size(), 0.0f);
+            for (std::size_t i = 0; i < dw.size(); ++i) want_dw[i] += dw[i];
+            EXPECT_TRUE(same_bits(conv.weight().grad.data(), want_dw.data(),
+                                  want_dw.size()))
+                << "dW";
+            EXPECT_TRUE(same_bits(dx.data(), want_dx.data(), dx.numel()))
+                << "grad_in";
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 168u);
+}
+
 TEST(Linear, ForwardKnownValues) {
   dl::Rng rng(5);
   Linear lin(2, 2, rng);
@@ -191,22 +308,30 @@ TEST(BatchNorm2d, GradCheck) {
 }
 
 TEST(ReLU, ForwardBackwardMasks) {
+  // y is x where x > 0 and +0 everywhere else: NaN, -0 and -inf all map to
+  // +0 and close the mask.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> in = {-1.0f, 2.0f, -3.0f, 4.0f, nan,
+                                 0.0f,  -0.0f, inf, -inf};
+  const std::vector<float> want = {0.0f, 2.0f, 0.0f, 4.0f, 0.0f,
+                                   0.0f, 0.0f, inf,  0.0f};
+  const std::vector<float> want_mask = {0, 1, 0, 1, 0, 0, 0, 1, 0};
   ReLU relu;
-  Tensor x({4});
-  x[0] = -1;
-  x[1] = 2;
-  x[2] = -3;
-  x[3] = 4;
+  Tensor x({in.size()});
+  std::copy(in.begin(), in.end(), x.data());
   const Tensor y = relu.forward(x, false);
-  EXPECT_FLOAT_EQ(y[0], 0);
-  EXPECT_FLOAT_EQ(y[1], 2);
-  Tensor dy({4});
+  Tensor dy({in.size()});
   dy.fill(1.0f);
   const Tensor dx = relu.backward(dy);
-  EXPECT_FLOAT_EQ(dx[0], 0);
-  EXPECT_FLOAT_EQ(dx[1], 1);
-  EXPECT_FLOAT_EQ(dx[2], 0);
-  EXPECT_FLOAT_EQ(dx[3], 1);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(y[i]),
+              std::bit_cast<std::uint32_t>(want[i]))
+        << "y at " << i << " = " << y[i];
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(dx[i]),
+              std::bit_cast<std::uint32_t>(want_mask[i]))
+        << "mask at " << i;
+  }
 }
 
 TEST(MaxPool2d, ForwardPicksMaxAndRoutesGradient) {
@@ -318,6 +443,19 @@ TEST(SoftmaxCrossEntropy, UniformLogits) {
     for (std::size_t c = 0; c < 4; ++c) s += r.grad.at2(n, c);
     EXPECT_NEAR(s, 0.0f, 1e-6);
   }
+}
+
+TEST(SoftmaxCrossEntropy, HandlesLogitsBelowOldSentinel) {
+  // Regression: the max used to start at -1e30, so a row whose logits all
+  // sit below it kept that sentinel: loss -inf, argmax 0 and NaN gradients.
+  Tensor logits({1, 2});
+  logits.at2(0, 0) = -3e30f;
+  logits.at2(0, 1) = -2e30f;
+  const LossResult r = softmax_cross_entropy(logits, {1});
+  EXPECT_EQ(r.correct, 1u);
+  EXPECT_FLOAT_EQ(r.loss, 0.0f);
+  EXPECT_FLOAT_EQ(r.grad.at2(0, 0), 0.0f);
+  EXPECT_FLOAT_EQ(r.grad.at2(0, 1), 0.0f);
 }
 
 TEST(SoftmaxCrossEntropy, CorrectCounting) {

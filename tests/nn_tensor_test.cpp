@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -46,6 +47,19 @@ TEST(Tensor, ReshapePreservesData) {
   t.reshape({3, 4});
   EXPECT_EQ(t[5], 3.0f);
   EXPECT_THROW(t.reshape({5, 5}), dl::Error);
+}
+
+TEST(Tensor, FailedPreconditionNamesSourceTreePath) {
+  // The message names the file from its src/ component on, whatever
+  // directory the library was built in.
+  Tensor t({2, 6});
+  try {
+    t.reshape({5, 5});
+    FAIL() << "reshape to a different element count must throw";
+  } catch (const dl::Error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("src/nn/tensor.cpp:", 0), 0u)
+        << e.what();
+  }
 }
 
 TEST(Tensor, KaimingBounds) {
