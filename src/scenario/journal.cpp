@@ -120,6 +120,116 @@ dl::integrity::Audit audit_from(const Value& v) {
   return a;
 }
 
+Value locker_to_journal(const dl::defense::DramLocker::Stats& s) {
+  auto v = Value::object();
+  v["rw_instructions"] = s.rw_instructions;
+  v["denied"] = s.denied;
+  v["unlock_swaps"] = s.unlock_swaps;
+  v["relocks"] = s.relocks;
+  v["swap_copy_errors"] = s.swap_copy_errors;
+  v["pool_exhausted_denials"] = s.pool_exhausted_denials;
+  v["swap_budget_denials"] = s.swap_budget_denials;
+  v["degraded_locks"] = s.degraded_locks;
+  v["degraded_swaps"] = s.degraded_swaps;
+  v["fallback_refreshes"] = s.fallback_refreshes;
+  return v;
+}
+
+dl::defense::DramLocker::Stats locker_from(const Value& v) {
+  dl::defense::DramLocker::Stats s;
+  s.rw_instructions = v.at("rw_instructions").as_u64();
+  s.denied = v.at("denied").as_u64();
+  s.unlock_swaps = v.at("unlock_swaps").as_u64();
+  s.relocks = v.at("relocks").as_u64();
+  s.swap_copy_errors = v.at("swap_copy_errors").as_u64();
+  s.pool_exhausted_denials = v.at("pool_exhausted_denials").as_u64();
+  s.swap_budget_denials = v.at("swap_budget_denials").as_u64();
+  s.degraded_locks = v.at("degraded_locks").as_u64();
+  s.degraded_swaps = v.at("degraded_swaps").as_u64();
+  s.fallback_refreshes = v.at("fallback_refreshes").as_u64();
+  return s;
+}
+
+Value scrub_to_journal(const dl::integrity::ScrubStats& s) {
+  auto v = Value::object();
+  v["passes"] = s.passes;
+  v["scrub_reads"] = s.scrub_reads;
+  v["scrub_read_bytes"] = s.scrub_read_bytes;
+  v["denied_accesses"] = s.denied_accesses;
+  v["correction_writes"] = s.correction_writes;
+  v["verified_groups"] = s.verified_groups;
+  v["detections"] = s.detections;
+  v["corrected_bits"] = s.corrected_bits;
+  v["zeroed_groups"] = s.zeroed_groups;
+  v["zeroed_corrupt_bytes"] = s.zeroed_corrupt_bytes;
+  v["checksum_repairs"] = s.checksum_repairs;
+  v["uncorrectable"] = s.uncorrectable;
+  v["unrecoverable_faults"] = s.unrecoverable_faults;
+  v["first_detection_at"] = s.first_detection_at;
+  return v;
+}
+
+dl::integrity::ScrubStats scrub_from(const Value& v) {
+  dl::integrity::ScrubStats s;
+  s.passes = v.at("passes").as_u64();
+  s.scrub_reads = v.at("scrub_reads").as_u64();
+  s.scrub_read_bytes = v.at("scrub_read_bytes").as_u64();
+  s.denied_accesses = v.at("denied_accesses").as_u64();
+  s.correction_writes = v.at("correction_writes").as_u64();
+  s.verified_groups = v.at("verified_groups").as_u64();
+  s.detections = v.at("detections").as_u64();
+  s.corrected_bits = v.at("corrected_bits").as_u64();
+  s.zeroed_groups = v.at("zeroed_groups").as_u64();
+  s.zeroed_corrupt_bytes = v.at("zeroed_corrupt_bytes").as_u64();
+  s.checksum_repairs = v.at("checksum_repairs").as_u64();
+  s.uncorrectable = v.at("uncorrectable").as_u64();
+  s.unrecoverable_faults = v.at("unrecoverable_faults").as_u64();
+  s.first_detection_at = v.at("first_detection_at").as_i64();
+  return s;
+}
+
+Value faults_to_journal(const dl::faults::FaultStats& s) {
+  auto v = Value::object();
+  v["events"] = s.events;
+  v["retention_faults"] = s.retention_faults;
+  v["transient_faults"] = s.transient_faults;
+  v["stuck_cells"] = s.stuck_cells;
+  v["stuck_overrides"] = s.stuck_overrides;
+  v["lock_evictions"] = s.lock_evictions;
+  v["remap_faults"] = s.remap_faults;
+  v["checksum_faults"] = s.checksum_faults;
+  return v;
+}
+
+dl::faults::FaultStats faults_from(const Value& v) {
+  dl::faults::FaultStats s;
+  s.events = v.at("events").as_u64();
+  s.retention_faults = v.at("retention_faults").as_u64();
+  s.transient_faults = v.at("transient_faults").as_u64();
+  s.stuck_cells = v.at("stuck_cells").as_u64();
+  s.stuck_overrides = v.at("stuck_overrides").as_u64();
+  s.lock_evictions = v.at("lock_evictions").as_u64();
+  s.remap_faults = v.at("remap_faults").as_u64();
+  s.checksum_faults = v.at("checksum_faults").as_u64();
+  return s;
+}
+
+Value refresh_to_journal(const dl::dram::RefreshStats& s) {
+  auto v = Value::object();
+  v["refs_issued"] = s.refs_issued;
+  v["ref_busy_ps"] = s.ref_busy_ps;
+  v["max_ref_slip_ps"] = s.max_ref_slip_ps;
+  return v;
+}
+
+dl::dram::RefreshStats refresh_from(const Value& v) {
+  dl::dram::RefreshStats s;
+  s.refs_issued = v.at("refs_issued").as_u64();
+  s.ref_busy_ps = v.at("ref_busy_ps").as_i64();
+  s.max_ref_slip_ps = v.at("max_ref_slip_ps").as_i64();
+  return s;
+}
+
 Value resilience_to_journal(const dl::resilience::ResilienceStats& s) {
   auto v = Value::object();
   v["strikes"] = s.strikes;
@@ -142,6 +252,49 @@ dl::resilience::ResilienceStats resilience_from(const Value& v) {
   s.rematerialized_bytes = v.at("rematerialized_bytes").as_u64();
   s.retires_denied = v.at("retires_denied").as_u64();
   return s;
+}
+
+/// The stack-level stats hammer and serve lines both carry, in the same
+/// key order: integrity, faults, degraded, refresh and resilience, each
+/// optional block behind its enabled flag.  `Result` is
+/// HammerCampaignResult or ServeCampaignResult, which name these members
+/// alike.
+template <typename Result>
+void stack_stats_to_journal(Value& v, const Result& r) {
+  v["integrity_enabled"] = r.integrity_enabled;
+  if (r.integrity_enabled) {
+    v["integrity_config"] = integrity_config_to_journal(r.integrity_config);
+    v["integrity"] = scrub_to_journal(r.integrity);
+    v["integrity_audit"] = audit_to_journal(r.integrity_audit);
+  }
+  v["faults_enabled"] = r.faults_enabled;
+  if (r.faults_enabled) v["faults"] = faults_to_journal(r.faults);
+  v["degraded"] = r.degraded;
+  v["timed"] = r.timed;
+  if (r.timed) v["refresh"] = refresh_to_journal(r.refresh);
+  v["resilience_enabled"] = r.resilience_enabled;
+  if (r.resilience_enabled) {
+    v["resilience"] = resilience_to_journal(r.resilience);
+  }
+}
+
+template <typename Result>
+void stack_stats_from_journal(const Value& v, Result& r) {
+  r.integrity_enabled = v.at("integrity_enabled").as_bool();
+  if (r.integrity_enabled) {
+    r.integrity_config = integrity_config_from(v.at("integrity_config"));
+    r.integrity = scrub_from(v.at("integrity"));
+    r.integrity_audit = audit_from(v.at("integrity_audit"));
+  }
+  r.faults_enabled = v.at("faults_enabled").as_bool();
+  if (r.faults_enabled) r.faults = faults_from(v.at("faults"));
+  r.degraded = v.at("degraded").as_bool();
+  r.timed = v.at("timed").as_bool();
+  if (r.timed) r.refresh = refresh_from(v.at("refresh"));
+  r.resilience_enabled = v.at("resilience_enabled").as_bool();
+  if (r.resilience_enabled) {
+    r.resilience = resilience_from(v.at("resilience"));
+  }
 }
 
 Value traffic_report_to_journal(const dl::traffic::TrafficReport& rep) {
@@ -185,18 +338,7 @@ Value hammer_to_journal(const HammerCampaignResult& r) {
   tracker["mitigations"] = r.tracker.mitigations;
   tracker["victim_refreshes"] = r.tracker.victim_refreshes;
   v["tracker"] = std::move(tracker);
-  auto locker = Value::object();
-  locker["rw_instructions"] = r.locker.rw_instructions;
-  locker["denied"] = r.locker.denied;
-  locker["unlock_swaps"] = r.locker.unlock_swaps;
-  locker["relocks"] = r.locker.relocks;
-  locker["swap_copy_errors"] = r.locker.swap_copy_errors;
-  locker["pool_exhausted_denials"] = r.locker.pool_exhausted_denials;
-  locker["swap_budget_denials"] = r.locker.swap_budget_denials;
-  locker["degraded_locks"] = r.locker.degraded_locks;
-  locker["degraded_swaps"] = r.locker.degraded_swaps;
-  locker["fallback_refreshes"] = r.locker.fallback_refreshes;
-  v["locker"] = std::move(locker);
+  v["locker"] = locker_to_journal(r.locker);
   v["swaps"] = r.swaps;
   v["unswaps"] = r.unswaps;
   v["degraded_migrations"] = r.degraded_migrations;
@@ -208,53 +350,7 @@ Value hammer_to_journal(const HammerCampaignResult& r) {
   auto tenants = Value::array();
   for (const auto& t : r.tenants) tenants.push_back(tenant_to_journal(t));
   v["tenants"] = std::move(tenants);
-  v["integrity_enabled"] = r.integrity_enabled;
-  if (r.integrity_enabled) {
-    v["integrity_config"] = integrity_config_to_journal(r.integrity_config);
-    auto s = Value::object();
-    s["passes"] = r.integrity.passes;
-    s["scrub_reads"] = r.integrity.scrub_reads;
-    s["scrub_read_bytes"] = r.integrity.scrub_read_bytes;
-    s["denied_accesses"] = r.integrity.denied_accesses;
-    s["correction_writes"] = r.integrity.correction_writes;
-    s["verified_groups"] = r.integrity.verified_groups;
-    s["detections"] = r.integrity.detections;
-    s["corrected_bits"] = r.integrity.corrected_bits;
-    s["zeroed_groups"] = r.integrity.zeroed_groups;
-    s["zeroed_corrupt_bytes"] = r.integrity.zeroed_corrupt_bytes;
-    s["checksum_repairs"] = r.integrity.checksum_repairs;
-    s["uncorrectable"] = r.integrity.uncorrectable;
-    s["unrecoverable_faults"] = r.integrity.unrecoverable_faults;
-    s["first_detection_at"] = r.integrity.first_detection_at;
-    v["integrity"] = std::move(s);
-    v["integrity_audit"] = audit_to_journal(r.integrity_audit);
-  }
-  v["faults_enabled"] = r.faults_enabled;
-  if (r.faults_enabled) {
-    auto f = Value::object();
-    f["events"] = r.faults.events;
-    f["retention_faults"] = r.faults.retention_faults;
-    f["transient_faults"] = r.faults.transient_faults;
-    f["stuck_cells"] = r.faults.stuck_cells;
-    f["stuck_overrides"] = r.faults.stuck_overrides;
-    f["lock_evictions"] = r.faults.lock_evictions;
-    f["remap_faults"] = r.faults.remap_faults;
-    f["checksum_faults"] = r.faults.checksum_faults;
-    v["faults"] = std::move(f);
-  }
-  v["degraded"] = r.degraded;
-  v["timed"] = r.timed;
-  if (r.timed) {
-    auto t = Value::object();
-    t["refs_issued"] = r.refresh.refs_issued;
-    t["ref_busy_ps"] = r.refresh.ref_busy_ps;
-    t["max_ref_slip_ps"] = r.refresh.max_ref_slip_ps;
-    v["refresh"] = std::move(t);
-  }
-  v["resilience_enabled"] = r.resilience_enabled;
-  if (r.resilience_enabled) {
-    v["resilience"] = resilience_to_journal(r.resilience);
-  }
+  stack_stats_to_journal(v, r);
   v["fabric_channels"] = r.fabric_channels;
   auto channels = Value::array();
   for (const ChannelBreakdown& cb : r.channels) {
@@ -290,18 +386,7 @@ HammerCampaignResult hammer_from_journal(const Value& v) {
   r.tracker.observed_acts = tracker.at("observed_acts").as_u64();
   r.tracker.mitigations = tracker.at("mitigations").as_u64();
   r.tracker.victim_refreshes = tracker.at("victim_refreshes").as_u64();
-  const Value& locker = v.at("locker");
-  r.locker.rw_instructions = locker.at("rw_instructions").as_u64();
-  r.locker.denied = locker.at("denied").as_u64();
-  r.locker.unlock_swaps = locker.at("unlock_swaps").as_u64();
-  r.locker.relocks = locker.at("relocks").as_u64();
-  r.locker.swap_copy_errors = locker.at("swap_copy_errors").as_u64();
-  r.locker.pool_exhausted_denials =
-      locker.at("pool_exhausted_denials").as_u64();
-  r.locker.swap_budget_denials = locker.at("swap_budget_denials").as_u64();
-  r.locker.degraded_locks = locker.at("degraded_locks").as_u64();
-  r.locker.degraded_swaps = locker.at("degraded_swaps").as_u64();
-  r.locker.fallback_refreshes = locker.at("fallback_refreshes").as_u64();
+  r.locker = locker_from(v.at("locker"));
   r.swaps = v.at("swaps").as_u64();
   r.unswaps = v.at("unswaps").as_u64();
   r.degraded_migrations = v.at("degraded_migrations").as_u64();
@@ -314,50 +399,7 @@ HammerCampaignResult hammer_from_journal(const Value& v) {
   for (std::size_t i = 0; i < tenants.size(); ++i) {
     r.tenants.push_back(tenant_from_journal(tenants.item(i)));
   }
-  r.integrity_enabled = v.at("integrity_enabled").as_bool();
-  if (r.integrity_enabled) {
-    r.integrity_config = integrity_config_from(v.at("integrity_config"));
-    const Value& s = v.at("integrity");
-    r.integrity.passes = s.at("passes").as_u64();
-    r.integrity.scrub_reads = s.at("scrub_reads").as_u64();
-    r.integrity.scrub_read_bytes = s.at("scrub_read_bytes").as_u64();
-    r.integrity.denied_accesses = s.at("denied_accesses").as_u64();
-    r.integrity.correction_writes = s.at("correction_writes").as_u64();
-    r.integrity.verified_groups = s.at("verified_groups").as_u64();
-    r.integrity.detections = s.at("detections").as_u64();
-    r.integrity.corrected_bits = s.at("corrected_bits").as_u64();
-    r.integrity.zeroed_groups = s.at("zeroed_groups").as_u64();
-    r.integrity.zeroed_corrupt_bytes = s.at("zeroed_corrupt_bytes").as_u64();
-    r.integrity.checksum_repairs = s.at("checksum_repairs").as_u64();
-    r.integrity.uncorrectable = s.at("uncorrectable").as_u64();
-    r.integrity.unrecoverable_faults = s.at("unrecoverable_faults").as_u64();
-    r.integrity.first_detection_at = s.at("first_detection_at").as_i64();
-    r.integrity_audit = audit_from(v.at("integrity_audit"));
-  }
-  r.faults_enabled = v.at("faults_enabled").as_bool();
-  if (r.faults_enabled) {
-    const Value& f = v.at("faults");
-    r.faults.events = f.at("events").as_u64();
-    r.faults.retention_faults = f.at("retention_faults").as_u64();
-    r.faults.transient_faults = f.at("transient_faults").as_u64();
-    r.faults.stuck_cells = f.at("stuck_cells").as_u64();
-    r.faults.stuck_overrides = f.at("stuck_overrides").as_u64();
-    r.faults.lock_evictions = f.at("lock_evictions").as_u64();
-    r.faults.remap_faults = f.at("remap_faults").as_u64();
-    r.faults.checksum_faults = f.at("checksum_faults").as_u64();
-  }
-  r.degraded = v.at("degraded").as_bool();
-  r.timed = v.at("timed").as_bool();
-  if (r.timed) {
-    const Value& t = v.at("refresh");
-    r.refresh.refs_issued = t.at("refs_issued").as_u64();
-    r.refresh.ref_busy_ps = t.at("ref_busy_ps").as_i64();
-    r.refresh.max_ref_slip_ps = t.at("max_ref_slip_ps").as_i64();
-  }
-  r.resilience_enabled = v.at("resilience_enabled").as_bool();
-  if (r.resilience_enabled) {
-    r.resilience = resilience_from(v.at("resilience"));
-  }
+  stack_stats_from_journal(v, r);
   r.fabric_channels =
       static_cast<std::uint32_t>(v.at("fabric_channels").as_u64());
   const Value& channels = v.at("channels");
@@ -461,67 +503,10 @@ Value serve_to_journal(const ServeCampaignResult& r) {
     per_channel.push_back(traffic_report_to_journal(rep));
   }
   v["per_channel"] = std::move(per_channel);
-  auto locker = Value::object();
-  locker["rw_instructions"] = r.locker.rw_instructions;
-  locker["denied"] = r.locker.denied;
-  locker["unlock_swaps"] = r.locker.unlock_swaps;
-  locker["relocks"] = r.locker.relocks;
-  locker["swap_copy_errors"] = r.locker.swap_copy_errors;
-  locker["pool_exhausted_denials"] = r.locker.pool_exhausted_denials;
-  locker["swap_budget_denials"] = r.locker.swap_budget_denials;
-  locker["degraded_locks"] = r.locker.degraded_locks;
-  locker["degraded_swaps"] = r.locker.degraded_swaps;
-  locker["fallback_refreshes"] = r.locker.fallback_refreshes;
-  v["locker"] = std::move(locker);
+  v["locker"] = locker_to_journal(r.locker);
   v["locked_rows"] = r.locked_rows;
   v["defense_time"] = r.defense_time;
-  v["integrity_enabled"] = r.integrity_enabled;
-  if (r.integrity_enabled) {
-    v["integrity_config"] = integrity_config_to_journal(r.integrity_config);
-    auto s = Value::object();
-    s["passes"] = r.integrity.passes;
-    s["scrub_reads"] = r.integrity.scrub_reads;
-    s["scrub_read_bytes"] = r.integrity.scrub_read_bytes;
-    s["denied_accesses"] = r.integrity.denied_accesses;
-    s["correction_writes"] = r.integrity.correction_writes;
-    s["verified_groups"] = r.integrity.verified_groups;
-    s["detections"] = r.integrity.detections;
-    s["corrected_bits"] = r.integrity.corrected_bits;
-    s["zeroed_groups"] = r.integrity.zeroed_groups;
-    s["zeroed_corrupt_bytes"] = r.integrity.zeroed_corrupt_bytes;
-    s["checksum_repairs"] = r.integrity.checksum_repairs;
-    s["uncorrectable"] = r.integrity.uncorrectable;
-    s["unrecoverable_faults"] = r.integrity.unrecoverable_faults;
-    s["first_detection_at"] = r.integrity.first_detection_at;
-    v["integrity"] = std::move(s);
-    v["integrity_audit"] = audit_to_journal(r.integrity_audit);
-  }
-  v["faults_enabled"] = r.faults_enabled;
-  if (r.faults_enabled) {
-    auto f = Value::object();
-    f["events"] = r.faults.events;
-    f["retention_faults"] = r.faults.retention_faults;
-    f["transient_faults"] = r.faults.transient_faults;
-    f["stuck_cells"] = r.faults.stuck_cells;
-    f["stuck_overrides"] = r.faults.stuck_overrides;
-    f["lock_evictions"] = r.faults.lock_evictions;
-    f["remap_faults"] = r.faults.remap_faults;
-    f["checksum_faults"] = r.faults.checksum_faults;
-    v["faults"] = std::move(f);
-  }
-  v["degraded"] = r.degraded;
-  v["timed"] = r.timed;
-  if (r.timed) {
-    auto t = Value::object();
-    t["refs_issued"] = r.refresh.refs_issued;
-    t["ref_busy_ps"] = r.refresh.ref_busy_ps;
-    t["max_ref_slip_ps"] = r.refresh.max_ref_slip_ps;
-    v["refresh"] = std::move(t);
-  }
-  v["resilience_enabled"] = r.resilience_enabled;
-  if (r.resilience_enabled) {
-    v["resilience"] = resilience_to_journal(r.resilience);
-  }
+  stack_stats_to_journal(v, r);
   auto health = Value::array();
   for (const dl::resilience::ChannelHealth h : r.channel_health) {
     health.push_back(static_cast<std::uint8_t>(h));
@@ -559,64 +544,10 @@ ServeCampaignResult serve_from_journal(const Value& v) {
   for (std::size_t i = 0; i < per_channel.size(); ++i) {
     r.per_channel.push_back(traffic_report_from(per_channel.item(i)));
   }
-  const Value& locker = v.at("locker");
-  r.locker.rw_instructions = locker.at("rw_instructions").as_u64();
-  r.locker.denied = locker.at("denied").as_u64();
-  r.locker.unlock_swaps = locker.at("unlock_swaps").as_u64();
-  r.locker.relocks = locker.at("relocks").as_u64();
-  r.locker.swap_copy_errors = locker.at("swap_copy_errors").as_u64();
-  r.locker.pool_exhausted_denials =
-      locker.at("pool_exhausted_denials").as_u64();
-  r.locker.swap_budget_denials = locker.at("swap_budget_denials").as_u64();
-  r.locker.degraded_locks = locker.at("degraded_locks").as_u64();
-  r.locker.degraded_swaps = locker.at("degraded_swaps").as_u64();
-  r.locker.fallback_refreshes = locker.at("fallback_refreshes").as_u64();
+  r.locker = locker_from(v.at("locker"));
   r.locked_rows = static_cast<std::size_t>(v.at("locked_rows").as_u64());
   r.defense_time = v.at("defense_time").as_i64();
-  r.integrity_enabled = v.at("integrity_enabled").as_bool();
-  if (r.integrity_enabled) {
-    r.integrity_config = integrity_config_from(v.at("integrity_config"));
-    const Value& s = v.at("integrity");
-    r.integrity.passes = s.at("passes").as_u64();
-    r.integrity.scrub_reads = s.at("scrub_reads").as_u64();
-    r.integrity.scrub_read_bytes = s.at("scrub_read_bytes").as_u64();
-    r.integrity.denied_accesses = s.at("denied_accesses").as_u64();
-    r.integrity.correction_writes = s.at("correction_writes").as_u64();
-    r.integrity.verified_groups = s.at("verified_groups").as_u64();
-    r.integrity.detections = s.at("detections").as_u64();
-    r.integrity.corrected_bits = s.at("corrected_bits").as_u64();
-    r.integrity.zeroed_groups = s.at("zeroed_groups").as_u64();
-    r.integrity.zeroed_corrupt_bytes = s.at("zeroed_corrupt_bytes").as_u64();
-    r.integrity.checksum_repairs = s.at("checksum_repairs").as_u64();
-    r.integrity.uncorrectable = s.at("uncorrectable").as_u64();
-    r.integrity.unrecoverable_faults = s.at("unrecoverable_faults").as_u64();
-    r.integrity.first_detection_at = s.at("first_detection_at").as_i64();
-    r.integrity_audit = audit_from(v.at("integrity_audit"));
-  }
-  r.faults_enabled = v.at("faults_enabled").as_bool();
-  if (r.faults_enabled) {
-    const Value& f = v.at("faults");
-    r.faults.events = f.at("events").as_u64();
-    r.faults.retention_faults = f.at("retention_faults").as_u64();
-    r.faults.transient_faults = f.at("transient_faults").as_u64();
-    r.faults.stuck_cells = f.at("stuck_cells").as_u64();
-    r.faults.stuck_overrides = f.at("stuck_overrides").as_u64();
-    r.faults.lock_evictions = f.at("lock_evictions").as_u64();
-    r.faults.remap_faults = f.at("remap_faults").as_u64();
-    r.faults.checksum_faults = f.at("checksum_faults").as_u64();
-  }
-  r.degraded = v.at("degraded").as_bool();
-  r.timed = v.at("timed").as_bool();
-  if (r.timed) {
-    const Value& t = v.at("refresh");
-    r.refresh.refs_issued = t.at("refs_issued").as_u64();
-    r.refresh.ref_busy_ps = t.at("ref_busy_ps").as_i64();
-    r.refresh.max_ref_slip_ps = t.at("max_ref_slip_ps").as_i64();
-  }
-  r.resilience_enabled = v.at("resilience_enabled").as_bool();
-  if (r.resilience_enabled) {
-    r.resilience = resilience_from(v.at("resilience"));
-  }
+  stack_stats_from_journal(v, r);
   const Value& health = v.at("channel_health");
   r.channel_health.reserve(health.size());
   for (std::size_t i = 0; i < health.size(); ++i) {

@@ -137,8 +137,109 @@ std::string defense_label(const DefenseSpec& spec) {
 }
 
 // ------------------------------------------------------------ run_one
+//
+// Every hammer and serve campaign runs on env.fabric.channels channel
+// stacks (one by default) sharing one flat fabric row space: tenant working
+// sets, protected rows and victim rows are fabric rows, sharded to their
+// owning channels.  The helpers below are shared by run_one and run_serve.
 
 namespace {
+
+using dl::dram::ChannelId;
+using dl::traffic::StreamSpec;
+using dl::traffic::TrafficReport;
+
+// Field-wise sums for merging per-channel stats into the fabric result.
+
+void add_to(dl::rowhammer::HammerResult& a,
+            const dl::rowhammer::HammerResult& b) {
+  a.granted_acts += b.granted_acts;
+  a.denied_acts += b.denied_acts;
+  a.flips_in_victim += b.flips_in_victim;
+  a.flips_elsewhere += b.flips_elsewhere;
+  a.elapsed += b.elapsed;
+}
+
+void add_to(dl::defense::TrackerStats& a, const dl::defense::TrackerStats& b) {
+  a.observed_acts += b.observed_acts;
+  a.mitigations += b.mitigations;
+  a.victim_refreshes += b.victim_refreshes;
+}
+
+void add_to(dl::defense::DramLocker::Stats& a,
+            const dl::defense::DramLocker::Stats& b) {
+  a.rw_instructions += b.rw_instructions;
+  a.denied += b.denied;
+  a.unlock_swaps += b.unlock_swaps;
+  a.relocks += b.relocks;
+  a.swap_copy_errors += b.swap_copy_errors;
+  a.pool_exhausted_denials += b.pool_exhausted_denials;
+  a.swap_budget_denials += b.swap_budget_denials;
+  a.degraded_locks += b.degraded_locks;
+  a.degraded_swaps += b.degraded_swaps;
+  a.fallback_refreshes += b.fallback_refreshes;
+}
+
+void add_to(dl::integrity::ScrubStats& a, const dl::integrity::ScrubStats& b) {
+  a.passes += b.passes;
+  a.scrub_reads += b.scrub_reads;
+  a.scrub_read_bytes += b.scrub_read_bytes;
+  a.denied_accesses += b.denied_accesses;
+  a.correction_writes += b.correction_writes;
+  a.verified_groups += b.verified_groups;
+  a.detections += b.detections;
+  a.corrected_bits += b.corrected_bits;
+  a.zeroed_groups += b.zeroed_groups;
+  a.zeroed_corrupt_bytes += b.zeroed_corrupt_bytes;
+  a.checksum_repairs += b.checksum_repairs;
+  a.uncorrectable += b.uncorrectable;
+  a.unrecoverable_faults += b.unrecoverable_faults;
+  // Earliest detection across channels (0 means none yet on that channel).
+  if (b.first_detection_at != 0 &&
+      (a.first_detection_at == 0 ||
+       b.first_detection_at < a.first_detection_at)) {
+    a.first_detection_at = b.first_detection_at;
+  }
+}
+
+void add_to(dl::integrity::Audit& a, const dl::integrity::Audit& b) {
+  a.corrupt_bytes += b.corrupt_bytes;
+  a.missed_bytes += b.missed_bytes;
+}
+
+void add_to(dl::faults::FaultStats& a, const dl::faults::FaultStats& b) {
+  a.events += b.events;
+  a.retention_faults += b.retention_faults;
+  a.transient_faults += b.transient_faults;
+  a.stuck_cells += b.stuck_cells;
+  a.stuck_overrides += b.stuck_overrides;
+  a.lock_evictions += b.lock_evictions;
+  a.remap_faults += b.remap_faults;
+  a.checksum_faults += b.checksum_faults;
+}
+
+void add_to(dl::resilience::ResilienceStats& a,
+            const dl::resilience::ResilienceStats& b) {
+  a.strikes += b.strikes;
+  a.retired_rows += b.retired_rows;
+  a.spares_total += b.spares_total;
+  a.spares_remaining += b.spares_remaining;
+  a.remap_reads += b.remap_reads;
+  a.rematerialized_bytes += b.rematerialized_bytes;
+  a.retires_denied += b.retires_denied;
+}
+
+/// Merges one controller's refresh stats into a fabric-wide total: sums,
+/// except max_ref_slip_ps (worst over channels).  No-op when not timed.
+void merge_refresh(dl::dram::RefreshStats& into,
+                   const dl::dram::Controller& ctrl) {
+  const auto* tm = ctrl.timing_model();
+  if (tm == nullptr) return;
+  const auto& s = tm->refresh_stats();
+  into.refs_issued += s.refs_issued;
+  into.ref_busy_ps = checked_ps_add(into.ref_busy_ps, s.ref_busy_ps);
+  into.max_ref_slip_ps = std::max(into.max_ref_slip_ps, s.max_ref_slip_ps);
+}
 
 /// Owns whichever defense the spec selects, wired into `ctrl`.
 struct DefenseInstance {
@@ -211,92 +312,38 @@ struct DefenseInstance {
     }
   }
 
+  /// Adds the tracker and migration counters only hammer reports carry;
+  /// harvest_stacks() takes the DRAM-Locker stats and locked rows.
   void harvest(HammerCampaignResult& r) const {
-    if (trr != nullptr) r.tracker = trr->stats();
-    if (counter_per_row != nullptr) r.tracker = counter_per_row->stats();
-    if (graphene != nullptr) r.tracker = graphene->stats();
-    if (counter_tree != nullptr) r.tracker = counter_tree->stats();
-    if (hydra != nullptr) r.tracker = hydra->stats();
+    if (trr != nullptr) add_to(r.tracker, trr->stats());
+    if (counter_per_row != nullptr) add_to(r.tracker, counter_per_row->stats());
+    if (graphene != nullptr) add_to(r.tracker, graphene->stats());
+    if (counter_tree != nullptr) add_to(r.tracker, counter_tree->stats());
+    if (hydra != nullptr) add_to(r.tracker, hydra->stats());
     if (row_swap != nullptr) {
-      r.swaps = row_swap->swaps();
-      r.unswaps = row_swap->unswaps();
-      r.degraded_migrations = row_swap->degraded();
+      r.swaps += row_swap->swaps();
+      r.unswaps += row_swap->unswaps();
+      r.degraded_migrations += row_swap->degraded();
     }
-    if (shadow != nullptr) r.swaps = shadow->shuffles();
-    if (locker != nullptr) r.locker = locker->stats();
-    r.locked_rows = locked_rows;
+    if (shadow != nullptr) r.swaps += shadow->shuffles();
   }
 };
 
-void issue_traffic(Controller& ctrl, const std::vector<TrafficOp>& ops) {
-  std::vector<std::uint8_t> buf;
-  for (const TrafficOp& op : ops) {
-    buf.resize(op.bytes);
-    for (std::uint32_t i = 0; i < op.repeat; ++i) {
-      ctrl.read(ctrl.mapper().row_base(op.row), buf, op.can_unlock);
-    }
-  }
-}
-
-/// One cycle of a multi-tenant campaign: a fresh engine over re-seeded
-/// tenant streams (cycles decorrelate via sub-streams of each tenant's
-/// declared seed), merged into the campaign's per-tenant stats.  Hammer
-/// tenants feed the attack result so traffic and burst campaigns report
-/// uniformly.  When the campaign runs the integrity defense, a kScrub
-/// tenant joins the mix (with a zero budget on cycles where no sweep is
-/// due, so the tenant roster stays stable for stat merging) and the
-/// engine's data sink feeds its serviced chunks to the scrubber.
-void run_traffic_cycle(Controller& ctrl, const HammerCampaign& campaign,
-                       std::uint64_t cycle, HammerCampaignResult& r,
-                       dl::integrity::DramScrubber* scrubber,
-                       bool scrub_due) {
-  std::vector<dl::traffic::StreamSpec> tenants = campaign.traffic.tenants;
-  for (auto& t : tenants) {
-    t.seed = dl::substream_seed(t.seed, /*epoch=*/3, cycle);
-  }
-  std::size_t scrub_tenant = tenants.size();
-  if (scrubber != nullptr) {
-    tenants.push_back(dl::traffic::StreamSpec::scrub(
-        scrubber->rows(), scrubber->chunk_bytes(),
-        scrub_due ? scrubber->chunks_per_pass() : 0));
-    tenants.back().name = "scrub";
-  }
-  dl::traffic::TrafficEngine engine(ctrl, std::move(tenants),
-                                    campaign.traffic.scheduler,
-                                    campaign.traffic.admission);
-  if (scrubber != nullptr) {
-    engine.set_data_sink([&](const dl::traffic::Serviced& s) {
-      if (s.req.tenant == scrub_tenant) scrubber->on_read(s.req.addr, s.data);
-    });
-  }
-  const auto report = engine.run();
-  if (scrubber != nullptr && scrub_due) scrubber->count_pass();
-
-  if (r.tenants.empty()) {
-    r.tenants = report.tenants;
-  } else {
-    DL_REQUIRE(r.tenants.size() == report.tenants.size(),
-               "tenant count changed across cycles");
-    for (std::size_t i = 0; i < report.tenants.size(); ++i) {
-      r.tenants[i].merge(report.tenants[i]);
-    }
-  }
-  for (const auto& t : report.tenants) {
-    if (t.kind != dl::traffic::StreamKind::kHammer) continue;
-    r.attack.granted_acts += t.hammer_acts;
-    r.attack.denied_acts += t.denied;
-  }
-  r.attack.elapsed += report.elapsed;
-}
-
-/// Logical rows whose data the traffic campaign's attackers target.
-std::vector<GlobalRowId> traffic_victims(const HammerCampaign& campaign) {
+/// Victim rows of a roster's hammer tenants, in roster order.
+std::vector<GlobalRowId> hammer_victims(const std::vector<StreamSpec>& tenants) {
   std::vector<GlobalRowId> victims;
-  for (const auto& t : campaign.traffic.tenants) {
+  for (const auto& t : tenants) {
     if (t.kind == dl::traffic::StreamKind::kHammer) {
       victims.push_back(t.victim_row);
     }
   }
+  return victims;
+}
+
+/// Logical rows whose data a hammer campaign's attackers target: the
+/// hammer tenants' victims, else the burst attack's victim row.
+std::vector<GlobalRowId> traffic_victims(const HammerCampaign& campaign) {
+  std::vector<GlobalRowId> victims = hammer_victims(campaign.traffic.tenants);
   if (victims.empty()) victims.push_back(campaign.attack.victim_row);
   return victims;
 }
@@ -310,14 +357,6 @@ std::vector<GlobalRowId> dedup_rows(const std::vector<GlobalRowId>& rows) {
     if (!seen) unique.push_back(row);
   }
   return unique;
-}
-
-/// Rows the integrity scrubber guards: the campaign's protected rows, or
-/// the victim rows when none are declared; deduplicated, order-preserving.
-std::vector<GlobalRowId> scrub_rows_for(const HammerCampaign& campaign) {
-  return dedup_rows(campaign.protected_rows.empty()
-                        ? traffic_victims(campaign)
-                        : campaign.protected_rows);
 }
 
 /// Seeds the guarded rows with a deterministic non-zero pattern (the
@@ -335,102 +374,21 @@ void seed_scrub_rows(Controller& ctrl, const std::vector<GlobalRowId>& rows) {
   }
 }
 
-// ------------------------------------------------------------ fabric path
-//
-// A sharded campaign (env.fabric.channels > 1) runs N independent
-// single-channel stacks and merges their results; the single-channel path
-// above stays untouched so channels <= 1 campaigns replay bit-for-bit.
-
-using dl::dram::ChannelId;
-
 /// Seed epoch reserved for per-channel fabric sub-streams (epochs 0-4 are
-/// taken by expand() and the per-cycle tenant reseed; 6 by tenant sharding).
+/// taken by expand() and the per-round tenant reseed; 6 by tenant sharding).
 constexpr std::uint64_t kFabricSeedEpoch = 5;
 
-/// Channel 0 keeps every declared seed verbatim — it replays the
-/// single-channel campaign — and channels > 0 draw decorrelated
-/// sub-streams.
+/// Channel 0 keeps every declared seed verbatim, and channels > 0 draw
+/// decorrelated sub-streams.
 std::uint64_t channel_seed(std::uint64_t declared, ChannelId channel) {
   return channel == 0
              ? declared
              : dl::substream_seed(declared, kFabricSeedEpoch, channel);
 }
 
-// Field-wise sums for merging per-channel stats into the fabric result.
-
-void add_to(dl::defense::TrackerStats& a, const dl::defense::TrackerStats& b) {
-  a.observed_acts += b.observed_acts;
-  a.mitigations += b.mitigations;
-  a.victim_refreshes += b.victim_refreshes;
-}
-
-void add_to(dl::defense::DramLocker::Stats& a,
-            const dl::defense::DramLocker::Stats& b) {
-  a.rw_instructions += b.rw_instructions;
-  a.denied += b.denied;
-  a.unlock_swaps += b.unlock_swaps;
-  a.relocks += b.relocks;
-  a.swap_copy_errors += b.swap_copy_errors;
-  a.pool_exhausted_denials += b.pool_exhausted_denials;
-  a.swap_budget_denials += b.swap_budget_denials;
-  a.degraded_locks += b.degraded_locks;
-  a.degraded_swaps += b.degraded_swaps;
-  a.fallback_refreshes += b.fallback_refreshes;
-}
-
-void add_to(dl::integrity::ScrubStats& a, const dl::integrity::ScrubStats& b) {
-  a.passes += b.passes;
-  a.scrub_reads += b.scrub_reads;
-  a.scrub_read_bytes += b.scrub_read_bytes;
-  a.denied_accesses += b.denied_accesses;
-  a.correction_writes += b.correction_writes;
-  a.verified_groups += b.verified_groups;
-  a.detections += b.detections;
-  a.corrected_bits += b.corrected_bits;
-  a.zeroed_groups += b.zeroed_groups;
-  a.zeroed_corrupt_bytes += b.zeroed_corrupt_bytes;
-  a.checksum_repairs += b.checksum_repairs;
-  a.uncorrectable += b.uncorrectable;
-  a.unrecoverable_faults += b.unrecoverable_faults;
-  // Earliest detection across channels (0 means none yet on that channel).
-  if (b.first_detection_at != 0 &&
-      (a.first_detection_at == 0 ||
-       b.first_detection_at < a.first_detection_at)) {
-    a.first_detection_at = b.first_detection_at;
-  }
-}
-
-void add_to(dl::integrity::Audit& a, const dl::integrity::Audit& b) {
-  a.corrupt_bytes += b.corrupt_bytes;
-  a.missed_bytes += b.missed_bytes;
-}
-
-void add_to(dl::faults::FaultStats& a, const dl::faults::FaultStats& b) {
-  a.events += b.events;
-  a.retention_faults += b.retention_faults;
-  a.transient_faults += b.transient_faults;
-  a.stuck_cells += b.stuck_cells;
-  a.stuck_overrides += b.stuck_overrides;
-  a.lock_evictions += b.lock_evictions;
-  a.remap_faults += b.remap_faults;
-  a.checksum_faults += b.checksum_faults;
-}
-
-void add_to(dl::resilience::ResilienceStats& a,
-            const dl::resilience::ResilienceStats& b) {
-  a.strikes += b.strikes;
-  a.retired_rows += b.retired_rows;
-  a.spares_total += b.spares_total;
-  a.spares_remaining += b.spares_remaining;
-  a.remap_reads += b.remap_reads;
-  a.rematerialized_bytes += b.rematerialized_bytes;
-  a.retires_denied += b.retires_denied;
-}
-
 /// Wires a RowRetirer between a channel's scrubber (the strike source and
-/// snapshot provider) and its controller.  Listener registration happens
-/// here so single-channel and fabric paths attach in the same order
-/// (model, defense, retirer, injector).
+/// snapshot provider) and its controller, registering it as a listener
+/// after the defense and before the injector.
 std::unique_ptr<dl::resilience::RowRetirer> make_retirer(
     Controller& ctrl, const dl::resilience::ResilienceSpec& spec,
     dl::integrity::DramScrubber& scrubber) {
@@ -449,9 +407,9 @@ std::unique_ptr<dl::resilience::RowRetirer> make_retirer(
   return retirer;
 }
 
-/// One channel of a sharded campaign: a full single-channel stack
-/// (controller, disturbance, defense, scrubber, fault injector), built in
-/// channel order so RNG sub-streams are reproducible.
+/// One channel of a campaign: controller, disturbance, defense, scrubber,
+/// retirer and fault injector, built in channel order so RNG sub-streams
+/// are reproducible.
 struct ChannelStack {
   std::unique_ptr<Controller> ctrl;
   std::unique_ptr<dl::rowhammer::DisturbanceModel> model;
@@ -461,9 +419,13 @@ struct ChannelStack {
   std::unique_ptr<dl::faults::FaultInjector> injector;
 };
 
-void validate_fabric(const DramEnv& env) {
+using Stacks = std::vector<std::unique_ptr<ChannelStack>>;
+using Rosters = std::vector<std::vector<StreamSpec>>;
+
+/// Validates a campaign's fabric declaration and builds its mapper.
+dl::dram::FabricMapper fabric_mapper(const DramEnv& env) {
   DL_REQUIRE(env.geometry.channels == 1,
-             "fabric campaigns declare per-channel geometry "
+             "campaigns declare per-channel geometry "
              "(geometry.channels must stay 1; the channel count lives in "
              "env.fabric.channels)");
   DL_REQUIRE(env.fabric.channels >= 1, "env.fabric.channels must be >= 1");
@@ -471,6 +433,8 @@ void validate_fabric(const DramEnv& env) {
                  env.fabric.channel_defenses.size() == env.fabric.channels,
              "env.fabric.channel_defenses must be empty or declare exactly "
              "one defense per channel");
+  return dl::dram::FabricMapper(env.fabric.channels, env.geometry.total_rows(),
+                                env.geometry.row_bytes, env.fabric.interleave);
 }
 
 /// Fabric rows -> per-channel lists of channel-local rows (channel order
@@ -494,20 +458,28 @@ std::vector<std::vector<GlobalRowId>> partition_rows(
   return local;
 }
 
-/// Builds the per-channel stacks of a fabric campaign.  The integrity
+/// Builds a campaign's per-channel stacks, each attached in the order
+/// model -> defense -> scrubber -> retirer -> injector.  The integrity
 /// add-on is fabric-wide (taken from `base_defense`); per-channel defense
-/// overrides replace only the preventive mechanism.  Fault targets
+/// overrides replace only the preventive mechanism.  The scrubber guards
+/// the declared protected rows, else the attackers' `victims`
+/// (deduplicated, order-preserving).  Fault targets
 /// (faults.target_base/target_rows) are interpreted channel-locally.
-std::vector<std::unique_ptr<ChannelStack>> build_channel_stacks(
-    const DramEnv& env, const DefenseSpec& base_defense,
-    const dl::dram::FabricMapper& mapper,
-    const std::vector<GlobalRowId>& protected_fabric_rows,
-    const std::vector<GlobalRowId>& scrub_fabric_rows) {
-  const auto protected_local =
-      partition_rows(mapper, protected_fabric_rows, "protected");
-  const auto scrub_local = partition_rows(mapper, scrub_fabric_rows, "scrub");
+Stacks build_channel_stacks(const DramEnv& env,
+                            const DefenseSpec& base_defense,
+                            const dl::dram::FabricMapper& mapper,
+                            const std::vector<GlobalRowId>& protected_rows,
+                            const std::vector<GlobalRowId>& victims) {
   const IntegritySpec& ispec = base_defense.integrity;
-  std::vector<std::unique_ptr<ChannelStack>> stacks;
+  const auto protected_local =
+      partition_rows(mapper, protected_rows, "protected");
+  const auto scrub_local = partition_rows(
+      mapper,
+      ispec.enabled
+          ? dedup_rows(protected_rows.empty() ? victims : protected_rows)
+          : std::vector<GlobalRowId>{},
+      "scrub");
+  Stacks stacks;
   stacks.reserve(mapper.channels());
   for (ChannelId c = 0; c < mapper.channels(); ++c) {
     auto s = std::make_unique<ChannelStack>();
@@ -527,13 +499,12 @@ std::vector<std::unique_ptr<ChannelStack>> build_channel_stacks(
       s->scrubber = std::make_unique<dl::integrity::DramScrubber>(
           *s->ctrl, scrub_local[c], ispec.config);
     }
-    // Self-healing: the retirer listens between the scrubber (strike
-    // source / snapshot provider) and the injector, per channel.
     if (env.resilience.enabled() && s->scrubber != nullptr) {
       s->retirer = make_retirer(*s->ctrl, env.resilience, *s->scrubber);
     }
-    // Same attach order as the single-channel path: the injector lands
-    // after the scrubber snapshot so weak cells read as corruption.
+    // Fault injection attaches last, after the scrubber snapshot: the
+    // stuck-at assertion in the injector's constructor lands *post*-
+    // snapshot, so weak cells read as corruption from the first scrub on.
     if (env.faults.enabled()) {
       dl::faults::FaultSpec fspec = env.faults;
       fspec.seed = channel_seed(fspec.seed, c);
@@ -552,115 +523,158 @@ std::vector<std::unique_ptr<ChannelStack>> build_channel_stacks(
   return stacks;
 }
 
-/// Merges one controller's refresh stats into a fabric-wide total: sums,
-/// except max_ref_slip_ps (worst over channels).  No-op when not timed.
-void merge_refresh(dl::dram::RefreshStats& into,
-                   const dl::dram::Controller& ctrl) {
-  const auto* tm = ctrl.timing_model();
-  if (tm == nullptr) return;
-  const auto& s = tm->refresh_stats();
-  into.refs_issued += s.refs_issued;
-  into.ref_busy_ps = checked_ps_add(into.ref_busy_ps, s.ref_busy_ps);
-  into.max_ref_slip_ps = std::max(into.max_ref_slip_ps, s.max_ref_slip_ps);
+/// Whether round (or cycle) `round` ends with a scrub sweep.
+bool scrub_due(const IntegritySpec& ispec, std::uint64_t round) {
+  return ispec.enabled && ispec.scrub_interval > 0 &&
+         (round + 1) % ispec.scrub_interval == 0;
 }
 
-/// Harvests one channel's defense stats into the fabric-wide merge.
-void merge_defense_harvest(HammerCampaignResult& r, const ChannelStack& s) {
-  HammerCampaignResult ch;
-  s.defense.harvest(ch);
-  add_to(r.tracker, ch.tracker);
-  add_to(r.locker, ch.locker);
-  r.swaps += ch.swaps;
-  r.unswaps += ch.unswaps;
-  r.degraded_migrations += ch.degraded_migrations;
-  r.locked_rows += ch.locked_rows;
-}
-
-/// Appends the per-channel scrub tenant to each channel's roster: the
-/// channel's guarded rows when it owns any, else an inert placeholder that
-/// keeps the roster shape (and thus the merged tenant table) identical on
-/// every channel.
-void append_scrub_tenants(
-    std::vector<std::vector<dl::traffic::StreamSpec>>& rosters,
-    const std::vector<std::unique_ptr<ChannelStack>>& stacks,
-    std::uint32_t row_bytes, bool due) {
+/// One round's per-channel rosters: the fabric-level `tenants` re-seeded
+/// for the round (epoch 3, so synthetic streams decorrelate across rounds)
+/// and sharded to their owning channels.  With the integrity add-on, every
+/// channel also gets a scrub tenant at index tenants.size(): its guarded
+/// rows, or an inert placeholder on a channel without any, so every roster
+/// (and the merged tenant table) keeps one shape.  It has a zero budget on
+/// rounds where no sweep is due.
+Rosters round_rosters(const dl::dram::FabricMapper& mapper,
+                      std::vector<StreamSpec> tenants, std::uint64_t round,
+                      const Stacks& stacks, const IntegritySpec& ispec) {
+  for (auto& t : tenants) {
+    t.seed = dl::substream_seed(t.seed, /*epoch=*/3, round);
+  }
+  Rosters rosters = dl::traffic::shard_tenants(mapper, tenants);
+  if (!ispec.enabled) return rosters;
+  const bool due = scrub_due(ispec, round);
   for (std::size_t c = 0; c < stacks.size(); ++c) {
     const auto* scrubber = stacks[c]->scrubber.get();
     auto spec = scrubber != nullptr
-                    ? dl::traffic::StreamSpec::scrub(
-                          scrubber->rows(), scrubber->chunk_bytes(),
-                          due ? scrubber->chunks_per_pass() : 0)
-                    : dl::traffic::StreamSpec::scrub({0}, row_bytes, 0);
+                    ? StreamSpec::scrub(scrubber->rows(),
+                                        scrubber->chunk_bytes(),
+                                        due ? scrubber->chunks_per_pass() : 0)
+                    : StreamSpec::scrub({0}, mapper.row_bytes(), 0);
     spec.name = "scrub";
     rosters[c].push_back(std::move(spec));
   }
+  return rosters;
 }
 
-/// Per-channel accumulation of a sharded campaign (merged at the end).
-struct ChannelPartial {
-  dl::rowhammer::HammerResult attack;
-  std::vector<dl::traffic::TenantStats> tenants;
-  std::uint64_t serviced = 0;
-};
-
-/// Merges a per-cycle engine report into a channel's running totals,
-/// mirroring the single-channel run_traffic_cycle bookkeeping.
-void merge_cycle_report(ChannelPartial& part,
-                        const dl::traffic::TrafficReport& report) {
-  if (part.tenants.empty()) {
-    part.tenants = report.tenants;
-  } else {
-    DL_REQUIRE(part.tenants.size() == report.tenants.size(),
-               "tenant count changed across cycles");
-    for (std::size_t i = 0; i < report.tenants.size(); ++i) {
-      part.tenants[i].merge(report.tenants[i]);
-    }
-  }
-  for (const auto& t : report.tenants) {
-    if (t.kind != dl::traffic::StreamKind::kHammer) continue;
-    part.attack.granted_acts += t.hammer_acts;
-    part.attack.denied_acts += t.denied;
-  }
-  part.attack.elapsed += report.elapsed;
-  part.serviced += report.serviced;
-}
-
-/// Merges channel tenant tables element-wise (every channel ran the same
-/// sharded roster, so index i is the same tenant everywhere).
-void merge_channel_tenants(std::vector<dl::traffic::TenantStats>& merged,
-                           const std::vector<dl::traffic::TenantStats>& part) {
-  if (part.empty()) return;
-  if (merged.empty()) {
-    merged = part;
+/// Merges tenant tables element-wise (every channel and round runs the
+/// same sharded roster, so index i is the same tenant everywhere).
+void merge_tenants(std::vector<dl::traffic::TenantStats>& into,
+                   const std::vector<dl::traffic::TenantStats>& from) {
+  if (into.empty()) {
+    into = from;
     return;
   }
-  DL_REQUIRE(merged.size() == part.size(),
-             "tenant roster diverged across channels");
-  for (std::size_t i = 0; i < part.size(); ++i) merged[i].merge(part[i]);
+  DL_REQUIRE(into.size() == from.size(), "tenant roster changed shape");
+  for (std::size_t i = 0; i < from.size(); ++i) into[i].merge(from[i]);
 }
 
-HammerCampaignResult run_one_fabric(const HammerCampaign& campaign) {
+/// Runs one round's rosters, one engine per channel over the pool
+/// (channels share no state, so results are independent of DL_THREADS).
+/// Each worker merges its channel's report into `totals[c]` itself; a merge
+/// on the serial path after the fan-out measured slower.  A channel's
+/// scrubber verifies the scrub tenant's serviced chunks and counts a pass
+/// when that tenant was offered a sweep.  Returns the round's own reports.
+std::vector<TrafficReport> run_round(const Stacks& stacks, Rosters& rosters,
+                                     const TrafficSpec& traffic,
+                                     std::size_t scrub_tenant,
+                                     std::vector<TrafficReport>& totals) {
+  std::vector<TrafficReport> round(stacks.size());
+  dl::parallel::parallel_for(
+      0, stacks.size(), 1,
+      [&](std::size_t begin, std::size_t end, std::size_t) {
+        for (std::size_t c = begin; c < end; ++c) {
+          ChannelStack& stack = *stacks[c];
+          dl::integrity::DramScrubber* scrubber = stack.scrubber.get();
+          const bool sweep =
+              scrubber != nullptr && rosters[c][scrub_tenant].requests > 0;
+          dl::traffic::TrafficEngine engine(*stack.ctrl, std::move(rosters[c]),
+                                            traffic.scheduler,
+                                            traffic.admission);
+          if (scrubber != nullptr) {
+            engine.set_data_sink([&](const dl::traffic::Serviced& s) {
+              if (s.req.tenant == scrub_tenant) {
+                scrubber->on_read(s.req.addr, s.data);
+              }
+            });
+          }
+          TrafficReport report = engine.run();
+          if (sweep) scrubber->count_pass();
+          TrafficReport& total = totals[c];
+          merge_tenants(total.tenants, report.tenants);
+          total.serviced += report.serviced;
+          total.elapsed += report.elapsed;
+          round[c] = std::move(report);
+        }
+      });
+  return round;
+}
+
+/// Adds what every channel stack accumulated — DRAM-Locker, scrubber,
+/// retirer, injector and refresh stats — to `r` as fabric-wide merges
+/// (sums, the earliest first detection, the worst REF slip) and applies
+/// the `degraded` rule: a defense degradation ladder engaged, a scrub
+/// recovery write was denied, or a spare pool ran dry.  `Result` is
+/// HammerCampaignResult or ServeCampaignResult, which name these members
+/// alike.
+template <typename Result>
+void harvest_stacks(Result& r, const Stacks& stacks, const DramEnv& env,
+                    const IntegritySpec& ispec) {
+  std::uint64_t degraded_migrations = 0;
+  bool spares_dry = false;
+  for (const auto& s : stacks) {
+    if (s->defense.locker != nullptr) {
+      add_to(r.locker, s->defense.locker->stats());
+    }
+    if (s->defense.row_swap != nullptr) {
+      degraded_migrations += s->defense.row_swap->degraded();
+    }
+    r.locked_rows += s->defense.locked_rows;
+    r.defense_time += s->ctrl->defense_time();
+    if (s->scrubber != nullptr) {
+      add_to(r.integrity, s->scrubber->stats());
+      add_to(r.integrity_audit, s->scrubber->audit());
+    }
+    if (s->retirer != nullptr) {
+      r.resilience_enabled = true;
+      add_to(r.resilience, s->retirer->stats());
+      spares_dry = spares_dry || s->retirer->exhausted();
+    }
+    if (s->injector != nullptr) add_to(r.faults, s->injector->stats());
+    merge_refresh(r.refresh, *s->ctrl);
+  }
+  r.integrity_enabled = ispec.enabled;
+  if (ispec.enabled) r.integrity_config = ispec.config;
+  r.faults_enabled = env.faults.enabled();
+  r.timed = env.timing_spec.enabled;
+  r.degraded = r.locker.degraded_locks > 0 || r.locker.degraded_swaps > 0 ||
+               degraded_migrations > 0 ||
+               r.integrity.unrecoverable_faults > 0 || spares_dry;
+}
+
+}  // namespace
+
+HammerCampaignResult run_one(const HammerCampaign& campaign) {
   DL_REQUIRE(campaign.cycles > 0, "campaign needs at least one cycle");
-  validate_fabric(campaign.env);
-  const FabricSpec& fs = campaign.env.fabric;
-  const dl::dram::FabricMapper mapper(
-      fs.channels, campaign.env.geometry.total_rows(),
-      campaign.env.geometry.row_bytes, fs.interleave);
+  const dl::dram::FabricMapper mapper = fabric_mapper(campaign.env);
+  const std::uint32_t n = mapper.channels();
   const IntegritySpec& ispec = campaign.defense.integrity;
-  const std::vector<GlobalRowId> scrub_fabric =
-      ispec.enabled ? scrub_rows_for(campaign) : std::vector<GlobalRowId>{};
-  auto stacks = build_channel_stacks(campaign.env, campaign.defense, mapper,
-                                     campaign.protected_rows, scrub_fabric);
-  const std::uint32_t n = fs.channels;
-  std::vector<ChannelPartial> partial(n);
+  const std::vector<GlobalRowId> victims = traffic_victims(campaign);
+  // Channel-local victims for flip attribution; partitioning also
+  // range-checks them, the burst attack's victim row included.
+  const auto victims_local = partition_rows(mapper, victims, "victim");
+  const Stacks stacks = build_channel_stacks(
+      campaign.env, campaign.defense, mapper, campaign.protected_rows, victims);
 
   HammerCampaignResult r;
   r.name = campaign.name;
+  // Per-channel attack outcome and traffic totals, merged at the end.
+  std::vector<dl::rowhammer::HammerResult> attack(n);
+  std::vector<TrafficReport> traffic(n);
 
-  const auto scrub_due = [&](std::uint64_t cycle) {
-    return ispec.enabled && ispec.scrub_interval > 0 &&
-           (cycle + 1) % ispec.scrub_interval == 0;
-  };
+  // Budget enforcement: a cycle cap shrinks the loop up front; an ACT cap
+  // is checked between cycles (a cycle always finishes once started).
   const std::uint64_t cycle_cap =
       campaign.budget.max_cycles > 0
           ? std::min(campaign.cycles, campaign.budget.max_cycles)
@@ -675,7 +689,7 @@ HammerCampaignResult run_one_fabric(const HammerCampaign& campaign) {
   };
   // Pre/post TrafficOps address fabric rows; each op routes to the owning
   // channel in declaration order.
-  const auto issue_fabric_traffic = [&](const std::vector<TrafficOp>& ops) {
+  const auto issue_ops = [&](const std::vector<TrafficOp>& ops) {
     std::vector<std::uint8_t> buf;
     for (const TrafficOp& op : ops) {
       DL_REQUIRE(op.row < mapper.total_rows(),
@@ -690,98 +704,54 @@ HammerCampaignResult run_one_fabric(const HammerCampaign& campaign) {
   };
 
   if (campaign.traffic.enabled()) {
-    // Sharded multi-tenant path: each cycle splits the fabric tenant mix
-    // to its owning channels and runs one engine per channel over the
-    // pool (channels share no state, so per-channel results are
-    // independent of DL_THREADS).  Flips are attributed per channel in
-    // channel-local coordinates.
-    std::vector<std::vector<GlobalRowId>> victims_local(n);
-    for (const GlobalRowId v : traffic_victims(campaign)) {
-      DL_REQUIRE(v < mapper.total_rows(),
-                 "victim row exceeds the fabric row space");
-      victims_local[mapper.channel_of(v)].push_back(mapper.local_row(v));
-    }
+    // Multi-tenant path: the engines replace the attack burst.  Each cycle
+    // shards the tenant mix to its owning channels; flips are attributed
+    // per channel against the hammer tenants' victim rows (channel-local),
+    // and scrub sweeps contend inside the same engine run.
     std::vector<std::unique_ptr<dl::rowhammer::FlipCallbackScope>> scopes;
     scopes.reserve(n);
     for (std::uint32_t c = 0; c < n; ++c) {
-      ChannelStack& stack = *stacks[c];
-      ChannelPartial& part = partial[c];
-      const std::vector<GlobalRowId>& victims = victims_local[c];
+      const ChannelStack& stack = *stacks[c];
+      dl::rowhammer::HammerResult& a = attack[c];
+      const std::vector<GlobalRowId>& local = victims_local[c];
       scopes.push_back(std::make_unique<dl::rowhammer::FlipCallbackScope>(
           *stack.model,
-          [&stack, &part, &victims](const dl::rowhammer::FlipEvent& ev) {
-            for (const GlobalRowId v : victims) {
+          [&stack, &a, &local](const dl::rowhammer::FlipEvent& ev) {
+            for (const GlobalRowId v : local) {
               if (ev.victim_row == stack.ctrl->indirection().to_physical(v)) {
-                ++part.attack.flips_in_victim;
+                ++a.flips_in_victim;
                 return;
               }
             }
-            ++part.attack.flips_elsewhere;
+            ++a.flips_elsewhere;
           }));
     }
     for (std::uint64_t cycle = 0; cycle < cycle_cap; ++cycle) {
-      issue_fabric_traffic(campaign.pre_traffic);
-      std::vector<dl::traffic::StreamSpec> tenants = campaign.traffic.tenants;
-      for (auto& t : tenants) {
-        t.seed = dl::substream_seed(t.seed, /*epoch=*/3, cycle);
-      }
-      auto rosters = dl::traffic::shard_tenants(mapper, tenants);
-      const std::size_t scrub_tenant = tenants.size();
-      const bool due = scrub_due(cycle);
-      if (ispec.enabled) {
-        append_scrub_tenants(rosters, stacks,
-                             campaign.env.geometry.row_bytes, due);
-      }
-      dl::parallel::parallel_for(
-          0, n, 1, [&](std::size_t begin, std::size_t end, std::size_t) {
-            for (std::size_t c = begin; c < end; ++c) {
-              ChannelStack& stack = *stacks[c];
-              dl::traffic::TrafficEngine engine(*stack.ctrl,
-                                                std::move(rosters[c]),
-                                                campaign.traffic.scheduler,
-                                                campaign.traffic.admission);
-              if (stack.scrubber != nullptr) {
-                engine.set_data_sink([&](const dl::traffic::Serviced& s) {
-                  if (s.req.tenant == scrub_tenant) {
-                    stack.scrubber->on_read(s.req.addr, s.data);
-                  }
-                });
-              }
-              const auto report = engine.run();
-              if (stack.scrubber != nullptr && due) {
-                stack.scrubber->count_pass();
-              }
-              merge_cycle_report(partial[c], report);
-            }
-          });
-      issue_fabric_traffic(campaign.post_traffic);
+      issue_ops(campaign.pre_traffic);
+      Rosters rosters = round_rosters(mapper, campaign.traffic.tenants, cycle,
+                                      stacks, ispec);
+      run_round(stacks, rosters, campaign.traffic,
+                campaign.traffic.tenants.size(), traffic);
+      issue_ops(campaign.post_traffic);
       ++r.completed_cycles;
       if (acts_exhausted()) break;
     }
   } else {
     // Burst path: the attack runs on the victim's owning channel; scrub
     // sweeps run directly on every guarded channel when due.
-    DL_REQUIRE(campaign.attack.victim_row < mapper.total_rows(),
-               "victim row exceeds the fabric row space");
     const ChannelId vch = mapper.channel_of(campaign.attack.victim_row);
     const GlobalRowId vlocal = mapper.local_row(campaign.attack.victim_row);
     dl::rowhammer::HammerAttacker attacker(*stacks[vch]->ctrl,
                                            *stacks[vch]->model);
     for (std::uint64_t cycle = 0; cycle < cycle_cap; ++cycle) {
-      issue_fabric_traffic(campaign.pre_traffic);
-      const auto res =
-          attacker.attack(vlocal, campaign.attack.pattern,
-                          campaign.attack.act_budget,
-                          campaign.attack.stop_after_flips);
-      ChannelPartial& part = partial[vch];
-      part.attack.granted_acts += res.granted_acts;
-      part.attack.denied_acts += res.denied_acts;
-      part.attack.flips_in_victim += res.flips_in_victim;
-      part.attack.flips_elsewhere += res.flips_elsewhere;
-      part.attack.elapsed += res.elapsed;
-      issue_fabric_traffic(campaign.post_traffic);
-      if (scrub_due(cycle)) {
-        for (auto& s : stacks) {
+      issue_ops(campaign.pre_traffic);
+      add_to(attack[vch],
+             attacker.attack(vlocal, campaign.attack.pattern,
+                             campaign.attack.act_budget,
+                             campaign.attack.stop_after_flips));
+      issue_ops(campaign.post_traffic);
+      if (scrub_due(ispec, cycle)) {
+        for (const auto& s : stacks) {
           if (s->scrubber != nullptr) s->scrubber->scrub_pass();
         }
       }
@@ -793,201 +763,46 @@ HammerCampaignResult run_one_fabric(const HammerCampaign& campaign) {
     r.status = CampaignStatus::kTruncated;
   }
 
-  // Merge: scalar stats are fabric-wide sums; elapsed times are makespans
-  // over channels; the per-channel slices keep the unmerged view.
+  // Merge: scalar stats are fabric-wide sums and elapsed times makespans
+  // over channels.  Hammer tenants feed the attack result, so traffic and
+  // burst campaigns report uniformly.  Multi-channel fabrics also keep the
+  // unmerged per-channel slices.
   r.fabric_channels = n;
-  r.channels.reserve(n);
   for (std::uint32_t c = 0; c < n; ++c) {
-    ChannelStack& stack = *stacks[c];
-    const ChannelPartial& part = partial[c];
-    r.attack.granted_acts += part.attack.granted_acts;
-    r.attack.denied_acts += part.attack.denied_acts;
-    r.attack.flips_in_victim += part.attack.flips_in_victim;
-    r.attack.flips_elsewhere += part.attack.flips_elsewhere;
-    r.attack.elapsed = std::max(r.attack.elapsed, part.attack.elapsed);
-    merge_defense_harvest(r, stack);
-    if (stack.scrubber != nullptr) {
-      add_to(r.integrity, stack.scrubber->stats());
-      add_to(r.integrity_audit, stack.scrubber->audit());
+    const ChannelStack& stack = *stacks[c];
+    dl::rowhammer::HammerResult& a = attack[c];
+    for (const auto& t : traffic[c].tenants) {
+      if (t.kind != dl::traffic::StreamKind::kHammer) continue;
+      a.granted_acts += t.hammer_acts;
+      a.denied_acts += t.denied;
     }
-    if (stack.retirer != nullptr) {
-      r.resilience_enabled = true;
-      add_to(r.resilience, stack.retirer->stats());
-    }
-    if (stack.injector != nullptr) add_to(r.faults, stack.injector->stats());
-    merge_channel_tenants(r.tenants, part.tenants);
+    a.elapsed += traffic[c].elapsed;
+    r.attack.granted_acts += a.granted_acts;
+    r.attack.denied_acts += a.denied_acts;
+    r.attack.flips_in_victim += a.flips_in_victim;
+    r.attack.flips_elsewhere += a.flips_elsewhere;
+    r.attack.elapsed = std::max(r.attack.elapsed, a.elapsed);
+    stack.defense.harvest(r);
+    merge_tenants(r.tenants, traffic[c].tenants);
     const auto rowclones = static_cast<std::uint64_t>(
         stack.ctrl->counters().value(dl::dram::Counter::kRowClones));
-    const std::uint64_t channel_flips = stack.model->total_flips();
+    const std::uint64_t flips = stack.model->total_flips();
     r.rowclones += rowclones;
-    r.total_flips += channel_flips;
-    r.defense_time += stack.ctrl->defense_time();
+    r.total_flips += flips;
     r.elapsed = std::max(r.elapsed, stack.ctrl->now());
-    merge_refresh(r.refresh, *stack.ctrl);
-    ChannelBreakdown cb;
-    cb.granted_acts = part.attack.granted_acts;
-    cb.denied_acts = part.attack.denied_acts;
-    cb.flips_in_victim = part.attack.flips_in_victim;
-    cb.flips_elsewhere = part.attack.flips_elsewhere;
-    cb.rowclones = rowclones;
-    cb.total_flips = channel_flips;
-    cb.serviced = part.serviced;
-    cb.defense_time = stack.ctrl->defense_time();
-    cb.elapsed = stack.ctrl->now();
-    r.channels.push_back(cb);
-  }
-  if (ispec.enabled) {
-    r.integrity_enabled = true;
-    r.integrity_config = ispec.config;
-  }
-  r.faults_enabled = campaign.env.faults.enabled();
-  r.timed = campaign.env.timing_spec.enabled;
-  bool spares_dry = false;
-  for (const auto& s : stacks) {
-    spares_dry = spares_dry || (s->retirer != nullptr && s->retirer->exhausted());
-  }
-  r.degraded = r.locker.degraded_locks > 0 || r.locker.degraded_swaps > 0 ||
-               r.degraded_migrations > 0 ||
-               r.integrity.unrecoverable_faults > 0 || spares_dry;
-  return r;
-}
-
-}  // namespace
-
-HammerCampaignResult run_one(const HammerCampaign& campaign) {
-  if (campaign.env.fabric.sharded()) return run_one_fabric(campaign);
-  DL_REQUIRE(campaign.cycles > 0, "campaign needs at least one cycle");
-  Controller ctrl(campaign.env.geometry, campaign.env.timing);
-  ctrl.set_timing_spec(campaign.env.timing_spec);
-  dl::rowhammer::DisturbanceModel model(ctrl, campaign.env.disturbance,
-                                        dl::Rng(campaign.env.disturbance_seed));
-  ctrl.add_listener(&model);
-
-  DefenseInstance defense;
-  defense.install(campaign.defense, ctrl, campaign.protected_rows);
-
-  std::unique_ptr<dl::integrity::DramScrubber> scrubber;
-  const IntegritySpec& ispec = campaign.defense.integrity;
-  if (ispec.enabled) {
-    const auto rows = scrub_rows_for(campaign);
-    seed_scrub_rows(ctrl, rows);
-    scrubber =
-        std::make_unique<dl::integrity::DramScrubber>(ctrl, rows,
-                                                      ispec.config);
-  }
-  const auto scrub_due = [&](std::uint64_t cycle) {
-    return scrubber != nullptr && ispec.scrub_interval > 0 &&
-           (cycle + 1) % ispec.scrub_interval == 0;
-  };
-
-  // Self-healing: the retirer listens between the scrubber (strike source /
-  // snapshot provider) and the injector.
-  std::unique_ptr<dl::resilience::RowRetirer> retirer;
-  if (campaign.env.resilience.enabled() && scrubber != nullptr) {
-    retirer = make_retirer(ctrl, campaign.env.resilience, *scrubber);
-  }
-
-  // Fault injection attaches last, after the scrubber snapshot: the
-  // stuck-at assertion in the injector's constructor lands *post*-snapshot,
-  // so weak cells read as corruption from the first scrub pass on.
-  std::unique_ptr<dl::faults::FaultInjector> injector;
-  if (campaign.env.faults.enabled()) {
-    injector =
-        std::make_unique<dl::faults::FaultInjector>(ctrl, campaign.env.faults);
-    if (defense.locker != nullptr) {
-      injector->attach_lock_table(&defense.locker->lock_table());
-    }
-    if (scrubber != nullptr) {
-      injector->attach_checksums(&scrubber->checksums());
-    }
-    ctrl.add_listener(injector.get());
-  }
-
-  // Budget enforcement: a cycle cap shrinks the loop up front; an ACT cap
-  // is checked between cycles (a cycle always finishes once started).
-  const std::uint64_t cycle_cap =
-      campaign.budget.max_cycles > 0
-          ? std::min(campaign.cycles, campaign.budget.max_cycles)
-          : campaign.cycles;
-  const auto acts_exhausted = [&] {
-    return campaign.budget.max_acts > 0 &&
-           ctrl.counters().value(dl::dram::Counter::kActivates) >=
-               static_cast<double>(campaign.budget.max_acts);
-  };
-
-  dl::rowhammer::HammerAttacker attacker(ctrl, model);
-  HammerCampaignResult r;
-  r.name = campaign.name;
-  if (campaign.traffic.enabled()) {
-    // Multi-tenant path: the engine replaces the attack burst; flips are
-    // attributed against the hammer tenants' victim rows.  Scrub sweeps
-    // (when due) contend inside the same engine run as a kScrub tenant.
-    const auto victims = traffic_victims(campaign);
-    dl::rowhammer::FlipCallbackScope scope(
-        model, [&](const dl::rowhammer::FlipEvent& ev) {
-          for (const GlobalRowId v : victims) {
-            if (ev.victim_row == ctrl.indirection().to_physical(v)) {
-              ++r.attack.flips_in_victim;
-              return;
-            }
-          }
-          ++r.attack.flips_elsewhere;
-        });
-    for (std::uint64_t c = 0; c < cycle_cap; ++c) {
-      issue_traffic(ctrl, campaign.pre_traffic);
-      run_traffic_cycle(ctrl, campaign, c, r, scrubber.get(), scrub_due(c));
-      issue_traffic(ctrl, campaign.post_traffic);
-      ++r.completed_cycles;
-      if (acts_exhausted()) break;
-    }
-  } else {
-    for (std::uint64_t c = 0; c < cycle_cap; ++c) {
-      issue_traffic(ctrl, campaign.pre_traffic);
-      const auto res =
-          attacker.attack(campaign.attack.victim_row, campaign.attack.pattern,
-                          campaign.attack.act_budget,
-                          campaign.attack.stop_after_flips);
-      r.attack.granted_acts += res.granted_acts;
-      r.attack.denied_acts += res.denied_acts;
-      r.attack.flips_in_victim += res.flips_in_victim;
-      r.attack.flips_elsewhere += res.flips_elsewhere;
-      r.attack.elapsed += res.elapsed;
-      issue_traffic(ctrl, campaign.post_traffic);
-      if (scrub_due(c)) scrubber->scrub_pass();
-      ++r.completed_cycles;
-      if (acts_exhausted()) break;
+    if (n > 1) {
+      r.channels.push_back({.granted_acts = a.granted_acts,
+                            .denied_acts = a.denied_acts,
+                            .flips_in_victim = a.flips_in_victim,
+                            .flips_elsewhere = a.flips_elsewhere,
+                            .rowclones = rowclones,
+                            .total_flips = flips,
+                            .serviced = traffic[c].serviced,
+                            .defense_time = stack.ctrl->defense_time(),
+                            .elapsed = stack.ctrl->now()});
     }
   }
-  if (r.completed_cycles < campaign.cycles) {
-    r.status = CampaignStatus::kTruncated;
-  }
-
-  defense.harvest(r);
-  if (scrubber != nullptr) {
-    r.integrity_enabled = true;
-    r.integrity_config = ispec.config;
-    r.integrity = scrubber->stats();
-    r.integrity_audit = scrubber->audit();
-  }
-  if (retirer != nullptr) {
-    r.resilience_enabled = true;
-    r.resilience = retirer->stats();
-  }
-  if (injector != nullptr) {
-    r.faults_enabled = true;
-    r.faults = injector->stats();
-  }
-  r.degraded = r.locker.degraded_locks > 0 || r.locker.degraded_swaps > 0 ||
-               r.degraded_migrations > 0 ||
-               r.integrity.unrecoverable_faults > 0 ||
-               (retirer != nullptr && retirer->exhausted());
-  r.rowclones = static_cast<std::uint64_t>(
-      ctrl.counters().value(dl::dram::Counter::kRowClones));
-  r.total_flips = model.total_flips();
-  r.defense_time = ctrl.defense_time();
-  r.elapsed = ctrl.now();
-  r.timed = campaign.env.timing_spec.enabled;
-  merge_refresh(r.refresh, ctrl);
+  harvest_stacks(r, stacks, campaign.env, ispec);
   return r;
 }
 
@@ -1083,52 +898,51 @@ std::vector<HammerCampaign> expand(const MatrixSpec& spec) {
 
 // ------------------------------------------------------------ serve runner
 
+namespace {
+
+/// Rejects a chaos schedule that cannot run as declared, before any round.
+void validate_chaos(const ChaosSpec& chaos, const DramEnv& env) {
+  if (chaos.kill_channel >= 0) {
+    DL_REQUIRE(env.fabric.channels >= 2,
+               "chaos channel kill needs at least two channels");
+    DL_REQUIRE(static_cast<std::uint32_t>(chaos.kill_channel) <
+                   env.fabric.channels,
+               "chaos.kill_channel out of range");
+    DL_REQUIRE(env.fabric.interleave == dl::dram::InterleavePolicy::kRowBlocked,
+               "chaos channel kill needs row-blocked interleave (failover "
+               "re-pins tenants onto the replica channel)");
+    DL_REQUIRE(chaos.restore_at_round == 0 ||
+                   chaos.restore_at_round > chaos.kill_at_round,
+               "chaos.restore_at_round must be 0 (never) or later than "
+               "chaos.kill_at_round");
+  }
+  if (chaos.storm_rounds > 0) {
+    DL_REQUIRE(env.faults.enabled(),
+               "chaos fault storm needs env.faults enabled");
+    DL_REQUIRE(chaos.period_ramp > 0.0 && chaos.period_ramp <= 1.0,
+               "chaos.period_ramp must be in (0, 1]");
+    DL_REQUIRE(chaos.min_period_acts >= 1,
+               "chaos.min_period_acts must be >= 1");
+  }
+}
+
+}  // namespace
+
 ServeCampaignResult run_serve(const ServeCampaign& campaign) {
   DL_REQUIRE(campaign.rounds > 0, "serve campaign needs at least one round");
   DL_REQUIRE(campaign.traffic.enabled(),
              "serve campaign needs at least one tenant");
-  validate_fabric(campaign.env);
-  const FabricSpec& fs = campaign.env.fabric;
-  const dl::dram::FabricMapper mapper(
-      fs.channels, campaign.env.geometry.total_rows(),
-      campaign.env.geometry.row_bytes, fs.interleave);
+  const dl::dram::FabricMapper mapper = fabric_mapper(campaign.env);
+  const std::uint32_t n = mapper.channels();
+  const ChaosSpec& chaos = campaign.chaos;
+  validate_chaos(chaos, campaign.env);
   const IntegritySpec& ispec = campaign.defense.integrity;
-  // Scrub targets mirror the hammer-campaign rule: the declared protected
-  // rows, falling back to the attackers' victim rows.
-  std::vector<GlobalRowId> scrub_fabric;
-  if (ispec.enabled) {
-    if (!campaign.protected_rows.empty()) {
-      scrub_fabric = dedup_rows(campaign.protected_rows);
-    } else {
-      std::vector<GlobalRowId> victims;
-      for (const auto& t : campaign.traffic.tenants) {
-        if (t.kind == dl::traffic::StreamKind::kHammer) {
-          victims.push_back(t.victim_row);
-        }
-      }
-      scrub_fabric = dedup_rows(victims);
-    }
-  }
-  auto stacks = build_channel_stacks(campaign.env, campaign.defense, mapper,
-                                     campaign.protected_rows, scrub_fabric);
-  const std::uint32_t n = fs.channels;
+  const Stacks stacks = build_channel_stacks(
+      campaign.env, campaign.defense, mapper, campaign.protected_rows,
+      hammer_victims(campaign.traffic.tenants));
 
   using dl::resilience::ChannelHealth;
-  const ChaosSpec& chaos = campaign.chaos;
   const bool chaos_on = chaos.enabled();
-  if (chaos.kill_channel >= 0) {
-    DL_REQUIRE(n >= 2, "chaos channel kill needs at least two channels");
-    DL_REQUIRE(static_cast<std::uint32_t>(chaos.kill_channel) < n,
-               "chaos.kill_channel out of range");
-    DL_REQUIRE(fs.interleave == dl::dram::InterleavePolicy::kRowBlocked,
-               "chaos channel kill needs row-blocked interleave (failover "
-               "re-pins tenants onto the replica channel)");
-  }
-  if (chaos.storm_rounds > 0) {
-    DL_REQUIRE(campaign.env.faults.enabled(),
-               "chaos fault storm needs env.faults enabled");
-  }
-
   const ChannelId kill =
       chaos.kill_channel >= 0 ? static_cast<ChannelId>(chaos.kill_channel) : 0;
   const ChannelId replica =
@@ -1168,12 +982,6 @@ ServeCampaignResult run_serve(const ServeCampaign& campaign) {
   r.name = campaign.name;
   r.fabric_channels = n;
   r.per_channel.resize(n);
-  const auto scrub_due = [&](std::uint64_t round) {
-    return ispec.enabled && ispec.scrub_interval > 0 &&
-           (round + 1) % ispec.scrub_interval == 0;
-  };
-
-  std::vector<dl::traffic::TrafficReport> round_reports(n);
   for (std::uint64_t round = 0; round < campaign.rounds; ++round) {
     // Chaos mutations run serially between rounds, in channel order, so
     // reports stay byte-identical for any DL_THREADS value.
@@ -1196,14 +1004,19 @@ ServeCampaignResult run_serve(const ServeCampaign& campaign) {
       if (chaos.storm_rounds > 0 && round >= chaos.storm_start &&
           round < chaos.storm_start + chaos.storm_rounds) {
         // Escalating fault storm: the injector cadence tightens and
-        // permanent faults accumulate, per channel in channel order.
+        // permanent faults accumulate, per channel in channel order.  With
+        // period_ramp in (0, 1] (validate_chaos), converting back only a
+        // smaller ramped period keeps the cast in range for any period.
         for (std::uint32_t c = 0; c < n; ++c) {
           auto* inj = stacks[c]->injector.get();
           if (inj == nullptr) continue;
+          const double ramped =
+              static_cast<double>(storm_period[c]) * chaos.period_ramp;
           storm_period[c] = std::max<std::uint64_t>(
               chaos.min_period_acts,
-              static_cast<std::uint64_t>(
-                  static_cast<double>(storm_period[c]) * chaos.period_ramp));
+              ramped < static_cast<double>(storm_period[c])
+                  ? static_cast<std::uint64_t>(ramped)
+                  : storm_period[c]);
           inj->set_period_acts(storm_period[c]);
           if (chaos.stuck_cells_per_round > 0) {
             inj->add_stuck_cells(chaos.stuck_cells_per_round);
@@ -1218,10 +1031,7 @@ ServeCampaignResult run_serve(const ServeCampaign& campaign) {
     const bool offline =
         chaos.kill_channel >= 0 && health[kill] == ChannelHealth::kOffline;
 
-    std::vector<dl::traffic::StreamSpec> tenants = campaign.traffic.tenants;
-    for (auto& t : tenants) {
-      t.seed = dl::substream_seed(t.seed, /*epoch=*/3, round);
-    }
+    std::vector<StreamSpec> tenants = campaign.traffic.tenants;
     if (offline) {
       // Mirrored weight readers fail over: re-pinned onto the replica at
       // the same channel-local rows (the mirror copied at setup).
@@ -1231,13 +1041,8 @@ ServeCampaignResult run_serve(const ServeCampaign& campaign) {
         t.pin_channel = static_cast<std::int32_t>(replica);
       }
     }
-    auto rosters = dl::traffic::shard_tenants(mapper, tenants);
-    const std::size_t scrub_tenant = tenants.size();
-    const bool due = scrub_due(round);
-    if (ispec.enabled) {
-      append_scrub_tenants(rosters, stacks, campaign.env.geometry.row_bytes,
-                           due);
-    }
+    Rosters rosters =
+        round_rosters(mapper, std::move(tenants), round, stacks, ispec);
     if (chaos_on) {
       // Offered load = every request budget sharded this round (scrub
       // service included); whatever lands on the dead channel is failed
@@ -1252,41 +1057,9 @@ ServeCampaignResult run_serve(const ServeCampaign& campaign) {
         }
       }
     }
-    dl::parallel::parallel_for(
-        0, n, 1, [&](std::size_t begin, std::size_t end, std::size_t) {
-          for (std::size_t c = begin; c < end; ++c) {
-            ChannelStack& stack = *stacks[c];
-            dl::traffic::TrafficEngine engine(*stack.ctrl,
-                                              std::move(rosters[c]),
-                                              campaign.traffic.scheduler,
-                                              campaign.traffic.admission);
-            if (stack.scrubber != nullptr) {
-              engine.set_data_sink([&](const dl::traffic::Serviced& s) {
-                if (s.req.tenant == scrub_tenant) {
-                  stack.scrubber->on_read(s.req.addr, s.data);
-                }
-              });
-            }
-            auto report = engine.run();
-            if (stack.scrubber != nullptr && due &&
-                !(offline && c == kill)) {
-              stack.scrubber->count_pass();
-            }
-            dl::traffic::TrafficReport& acc = r.per_channel[c];
-            if (acc.tenants.empty()) {
-              acc.tenants = report.tenants;
-            } else {
-              DL_REQUIRE(acc.tenants.size() == report.tenants.size(),
-                         "tenant count changed across rounds");
-              for (std::size_t i = 0; i < report.tenants.size(); ++i) {
-                acc.tenants[i].merge(report.tenants[i]);
-              }
-            }
-            acc.serviced += report.serviced;
-            acc.elapsed += report.elapsed;
-            round_reports[c] = std::move(report);
-          }
-        });
+    const std::vector<TrafficReport> round_reports =
+        run_round(stacks, rosters, campaign.traffic,
+                  campaign.traffic.tenants.size(), r.per_channel);
     // Serial post-round bookkeeping: availability conservation
     // (offered == served + shed + failed) and the health ladder.
     Picoseconds round_elapsed = 0;
@@ -1343,45 +1116,20 @@ ServeCampaignResult run_serve(const ServeCampaign& campaign) {
   }
 
   // Merge across channels: tenants element-wise, serviced summed, elapsed
-  // as the makespan; defense/integrity/fault stats are fabric-wide sums.
-  HammerCampaignResult harvest;
-  for (std::uint32_t c = 0; c < n; ++c) {
-    const dl::traffic::TrafficReport& ch = r.per_channel[c];
-    merge_channel_tenants(r.merged.tenants, ch.tenants);
+  // as the makespan; stack-level stats are fabric-wide merges, and any
+  // channel left unhealthy also marks the campaign degraded.
+  for (const TrafficReport& ch : r.per_channel) {
+    merge_tenants(r.merged.tenants, ch.tenants);
     r.merged.serviced += ch.serviced;
     r.merged.elapsed = std::max(r.merged.elapsed, ch.elapsed);
-    ChannelStack& stack = *stacks[c];
-    merge_defense_harvest(harvest, stack);
-    if (stack.scrubber != nullptr) {
-      add_to(r.integrity, stack.scrubber->stats());
-      add_to(r.integrity_audit, stack.scrubber->audit());
-    }
-    if (stack.retirer != nullptr) {
-      r.resilience_enabled = true;
-      add_to(r.resilience, stack.retirer->stats());
-    }
-    if (stack.injector != nullptr) add_to(r.faults, stack.injector->stats());
-    r.defense_time += stack.ctrl->defense_time();
-    merge_refresh(r.refresh, *stack.ctrl);
   }
-  r.locker = harvest.locker;
-  r.locked_rows = harvest.locked_rows;
-  if (ispec.enabled) {
-    r.integrity_enabled = true;
-    r.integrity_config = ispec.config;
-  }
-  r.faults_enabled = campaign.env.faults.enabled();
-  r.timed = campaign.env.timing_spec.enabled;
+  harvest_stacks(r, stacks, campaign.env, ispec);
   r.chaos_enabled = chaos_on;
   if (chaos_on) r.availability = av;
   if (r.resilience_enabled || chaos_on) r.channel_health = health;
-  bool any_unhealthy = false;
   for (const ChannelHealth h : health) {
-    any_unhealthy = any_unhealthy || h != ChannelHealth::kHealthy;
+    r.degraded = r.degraded || h != ChannelHealth::kHealthy;
   }
-  r.degraded = r.locker.degraded_locks > 0 || r.locker.degraded_swaps > 0 ||
-               harvest.degraded_migrations > 0 ||
-               r.integrity.unrecoverable_faults > 0 || any_unhealthy;
   return r;
 }
 
@@ -1587,6 +1335,54 @@ void put_integrity_outcome(dl::json::Value& v, const Counters& s,
       s.corrected_bits, s.zeroed_corrupt_bytes, audit);
 }
 
+/// The "dram_locker" block (DRAM-Locker lock/SWAP counters).
+dl::json::Value locker_block(const dl::defense::DramLocker::Stats& s) {
+  auto v = dl::json::Value::object();
+  v["rw_instructions"] = s.rw_instructions;
+  v["denied"] = s.denied;
+  v["unlock_swaps"] = s.unlock_swaps;
+  v["relocks"] = s.relocks;
+  v["swap_copy_errors"] = s.swap_copy_errors;
+  v["pool_exhausted_denials"] = s.pool_exhausted_denials;
+  v["swap_budget_denials"] = s.swap_budget_denials;
+  v["degraded_locks"] = s.degraded_locks;
+  v["degraded_swaps"] = s.degraded_swaps;
+  v["fallback_refreshes"] = s.fallback_refreshes;
+  return v;
+}
+
+/// The "integrity" block of a DRAM campaign: the RADAR-style scrubber's
+/// configuration, sweep counters and shared outcome.
+dl::json::Value scrub_block(const dl::integrity::Config& config,
+                            const dl::integrity::ScrubStats& s,
+                            const dl::integrity::Audit& audit) {
+  auto v = dl::json::Value::object();
+  put_integrity_config(v, config);
+  v["passes"] = s.passes;
+  v["scrub_reads"] = s.scrub_reads;
+  v["scrub_read_bytes"] = s.scrub_read_bytes;
+  v["denied_accesses"] = s.denied_accesses;
+  v["unrecoverable_faults"] = s.unrecoverable_faults;
+  v["correction_writes"] = s.correction_writes;
+  v["first_detection_ps"] = s.first_detection_at;
+  put_integrity_outcome(v, s, audit);
+  return v;
+}
+
+/// The opt-in "faults" block (fault-injection counters).
+dl::json::Value faults_block(const dl::faults::FaultStats& s) {
+  auto v = dl::json::Value::object();
+  v["events"] = s.events;
+  v["retention_faults"] = s.retention_faults;
+  v["transient_faults"] = s.transient_faults;
+  v["stuck_cells"] = s.stuck_cells;
+  v["stuck_overrides"] = s.stuck_overrides;
+  v["lock_evictions"] = s.lock_evictions;
+  v["remap_faults"] = s.remap_faults;
+  v["checksum_faults"] = s.checksum_faults;
+  return v;
+}
+
 /// Appends the opt-in "timing" block: nanosecond-denominated durations and
 /// the refresh-schedule outcome.  Emitted only for campaigns that ran the
 /// cycle-approximate engine, so untimed reports stay byte-identical.
@@ -1650,18 +1446,7 @@ dl::json::Value to_json(const HammerCampaignResult& r) {
   tracker["mitigations"] = r.tracker.mitigations;
   tracker["victim_refreshes"] = r.tracker.victim_refreshes;
   v["tracker"] = std::move(tracker);
-  auto locker = dl::json::Value::object();
-  locker["rw_instructions"] = r.locker.rw_instructions;
-  locker["denied"] = r.locker.denied;
-  locker["unlock_swaps"] = r.locker.unlock_swaps;
-  locker["relocks"] = r.locker.relocks;
-  locker["swap_copy_errors"] = r.locker.swap_copy_errors;
-  locker["pool_exhausted_denials"] = r.locker.pool_exhausted_denials;
-  locker["swap_budget_denials"] = r.locker.swap_budget_denials;
-  locker["degraded_locks"] = r.locker.degraded_locks;
-  locker["degraded_swaps"] = r.locker.degraded_swaps;
-  locker["fallback_refreshes"] = r.locker.fallback_refreshes;
-  v["dram_locker"] = std::move(locker);
+  v["dram_locker"] = locker_block(r.locker);
   v["swaps"] = r.swaps;
   v["unswaps"] = r.unswaps;
   v["degraded_migrations"] = r.degraded_migrations;
@@ -1701,34 +1486,15 @@ dl::json::Value to_json(const HammerCampaignResult& r) {
     v["tenants"] = std::move(tenants);
   }
   if (r.integrity_enabled) {
-    auto integrity = dl::json::Value::object();
-    put_integrity_config(integrity, r.integrity_config);
-    integrity["passes"] = r.integrity.passes;
-    integrity["scrub_reads"] = r.integrity.scrub_reads;
-    integrity["scrub_read_bytes"] = r.integrity.scrub_read_bytes;
-    integrity["denied_accesses"] = r.integrity.denied_accesses;
-    integrity["unrecoverable_faults"] = r.integrity.unrecoverable_faults;
-    integrity["correction_writes"] = r.integrity.correction_writes;
-    integrity["first_detection_ps"] = r.integrity.first_detection_at;
-    put_integrity_outcome(integrity, r.integrity, r.integrity_audit);
+    auto integrity =
+        scrub_block(r.integrity_config, r.integrity, r.integrity_audit);
     const double secs = to_seconds(r.elapsed);
     integrity["scrub_bandwidth_bytes_per_sec"] =
         secs > 0.0 ? static_cast<double>(r.integrity.scrub_read_bytes) / secs
                    : 0.0;
     v["integrity"] = std::move(integrity);
   }
-  if (r.faults_enabled) {
-    auto faults = dl::json::Value::object();
-    faults["events"] = r.faults.events;
-    faults["retention_faults"] = r.faults.retention_faults;
-    faults["transient_faults"] = r.faults.transient_faults;
-    faults["stuck_cells"] = r.faults.stuck_cells;
-    faults["stuck_overrides"] = r.faults.stuck_overrides;
-    faults["lock_evictions"] = r.faults.lock_evictions;
-    faults["remap_faults"] = r.faults.remap_faults;
-    faults["checksum_faults"] = r.faults.checksum_faults;
-    v["faults"] = std::move(faults);
-  }
+  if (r.faults_enabled) v["faults"] = faults_block(r.faults);
   if (r.timed) {
     put_timing_block(v, r.refresh, r.elapsed, r.defense_time,
                      r.integrity_enabled ? r.integrity.scrub_read_bytes : 0);
@@ -1795,46 +1561,15 @@ dl::json::Value to_json(const ServeCampaignResult& r) {
     channels.push_back(std::move(ch));
   }
   v["channels"] = std::move(channels);
-  auto locker = dl::json::Value::object();
-  locker["rw_instructions"] = r.locker.rw_instructions;
-  locker["denied"] = r.locker.denied;
-  locker["unlock_swaps"] = r.locker.unlock_swaps;
-  locker["relocks"] = r.locker.relocks;
-  locker["swap_copy_errors"] = r.locker.swap_copy_errors;
-  locker["pool_exhausted_denials"] = r.locker.pool_exhausted_denials;
-  locker["swap_budget_denials"] = r.locker.swap_budget_denials;
-  locker["degraded_locks"] = r.locker.degraded_locks;
-  locker["degraded_swaps"] = r.locker.degraded_swaps;
-  locker["fallback_refreshes"] = r.locker.fallback_refreshes;
-  v["dram_locker"] = std::move(locker);
+  v["dram_locker"] = locker_block(r.locker);
   v["locked_rows"] = r.locked_rows;
   v["defense_time_ps"] = r.defense_time;
   v["degraded"] = r.degraded;
   if (r.integrity_enabled) {
-    auto integrity = dl::json::Value::object();
-    put_integrity_config(integrity, r.integrity_config);
-    integrity["passes"] = r.integrity.passes;
-    integrity["scrub_reads"] = r.integrity.scrub_reads;
-    integrity["scrub_read_bytes"] = r.integrity.scrub_read_bytes;
-    integrity["denied_accesses"] = r.integrity.denied_accesses;
-    integrity["unrecoverable_faults"] = r.integrity.unrecoverable_faults;
-    integrity["correction_writes"] = r.integrity.correction_writes;
-    integrity["first_detection_ps"] = r.integrity.first_detection_at;
-    put_integrity_outcome(integrity, r.integrity, r.integrity_audit);
-    v["integrity"] = std::move(integrity);
+    v["integrity"] =
+        scrub_block(r.integrity_config, r.integrity, r.integrity_audit);
   }
-  if (r.faults_enabled) {
-    auto faults = dl::json::Value::object();
-    faults["events"] = r.faults.events;
-    faults["retention_faults"] = r.faults.retention_faults;
-    faults["transient_faults"] = r.faults.transient_faults;
-    faults["stuck_cells"] = r.faults.stuck_cells;
-    faults["stuck_overrides"] = r.faults.stuck_overrides;
-    faults["lock_evictions"] = r.faults.lock_evictions;
-    faults["remap_faults"] = r.faults.remap_faults;
-    faults["checksum_faults"] = r.faults.checksum_faults;
-    v["faults"] = std::move(faults);
-  }
+  if (r.faults_enabled) v["faults"] = faults_block(r.faults);
   if (r.timed) {
     put_timing_block(v, r.refresh, r.merged.elapsed, r.defense_time,
                      r.integrity_enabled ? r.integrity.scrub_read_bytes : 0);

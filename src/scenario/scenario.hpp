@@ -172,12 +172,12 @@ struct DefenseSpec {
 
 // ------------------------------------------------------------- environment
 
-/// Multi-channel fabric topology for a campaign.  `channels` identical
-/// single-channel stacks (each its own Controller + defense + integrity +
-/// fault state) share one flat fabric row space under `interleave`; tenant
+/// Channel fabric topology for a campaign.  Every hammer and serve
+/// campaign runs on `channels` identical channel stacks (each its own
+/// Controller + disturbance + defense + integrity + retirement + fault
+/// state) sharing one flat fabric row space under `interleave`; tenant
 /// working sets, protected rows, and victim rows in the campaign spec are
-/// *fabric* rows and are sharded to their owning channels.  channels <= 1
-/// keeps the original single-controller path, byte-for-byte.
+/// *fabric* rows and are sharded to their owning channels.
 struct FabricSpec {
   std::uint32_t channels = 1;
   dl::dram::InterleavePolicy interleave =
@@ -185,8 +185,6 @@ struct FabricSpec {
   /// Per-channel defense overrides; empty = every channel runs the
   /// campaign's declared defense, otherwise size must equal `channels`.
   std::vector<DefenseSpec> channel_defenses;
-
-  [[nodiscard]] bool sharded() const { return channels > 1; }
 };
 
 /// The simulated memory system one campaign runs against.
@@ -206,9 +204,10 @@ struct DramEnv {
   /// defense-metadata faults); inactive unless faults.enabled().  expand()
   /// derives the seed from the matrix seed tree (epoch 2).
   dl::faults::FaultSpec faults;
-  /// Channel fabric; channel c > 0 derives its disturbance / defense /
-  /// fault seeds from the declared ones via substream epoch 5, so channel 0
-  /// of any fabric replays the single-channel campaign bit-for-bit.
+  /// Channel fabric (one channel by default).  Channel 0 keeps the declared
+  /// disturbance / defense / fault seeds and channel c > 0 derives its own
+  /// via substream epoch 5, so a burst attack on channel 0 replays the
+  /// same campaign on any channel count bit-for-bit.
   FabricSpec fabric;
   /// Self-healing row retirement (spare slab per channel, strike policy);
   /// inactive unless resilience.enabled().  Retirement needs the integrity
@@ -280,7 +279,7 @@ struct HammerCampaign {
   BudgetSpec budget;
 };
 
-/// Per-channel slice of a fabric campaign's result (fabric campaigns only;
+/// Per-channel slice of a campaign's result (multi-channel fabrics only;
 /// single-channel campaigns leave the vector empty).
 struct ChannelBreakdown {
   std::uint64_t granted_acts = 0;
@@ -321,11 +320,13 @@ struct HammerCampaignResult {
   bool faults_enabled = false;
   dl::faults::FaultStats faults;
   /// Any defense ran in a degraded mode (fallback monitoring, budgeted
-  /// swaps downgraded to refreshes, unrecoverable scrub faults).
+  /// swaps downgraded to refreshes, unrecoverable scrub faults, a spare
+  /// pool run dry).
   bool degraded = false;
-  /// Fabric shape and per-channel slices (env.fabric.sharded() campaigns
-  /// only; the scalar stats above are fabric-wide merges — sums, except
-  /// `elapsed` which is the makespan over channels).
+  /// Fabric shape (env.fabric.channels) and per-channel slices (recorded
+  /// only when there is more than one channel; the scalar stats above are
+  /// fabric-wide merges — sums, except `elapsed` which is the makespan over
+  /// channels).
   std::uint32_t fabric_channels = 1;
   std::vector<ChannelBreakdown> channels;
   /// Timing-engine outcome (env.timing_spec.enabled campaigns only).
@@ -339,7 +340,8 @@ struct HammerCampaignResult {
   dl::resilience::ResilienceStats resilience;
 };
 
-/// Runs one campaign on the calling thread.  Throws on a malformed spec.
+/// Runs one campaign; a traffic campaign's per-channel engines fan out
+/// over the parallel pool.  Throws on a malformed spec.
 [[nodiscard]] HammerCampaignResult run_one(const HammerCampaign& campaign);
 
 /// run_one with error isolation: a throwing campaign yields a result with

@@ -180,6 +180,13 @@ TEST(FabricCampaign, RejectsMalformedSpecs) {
   const auto r = scenario::run_one_isolated(c);
   EXPECT_EQ(r.status, scenario::CampaignStatus::kFailed);
   EXPECT_NE(r.error.find("geometry.channels must stay 1"), std::string::npos);
+  // A single-channel campaign runs on the same stacks, so it is held to
+  // the same rule.
+  auto single = fabric_campaign(1);
+  single.env.geometry.channels = 2;
+  const auto r1 = scenario::run_one_isolated(single);
+  EXPECT_EQ(r1.status, scenario::CampaignStatus::kFailed);
+  EXPECT_NE(r1.error.find("geometry.channels must stay 1"), std::string::npos);
 
   auto mismatched = fabric_campaign(2);
   mismatched.env.fabric.channel_defenses = {scenario::DefenseSpec::none()};

@@ -1,0 +1,264 @@
+// Golden report digests: the CRC32 of the compact JSON report of a small,
+// fixed set of hammer and serve campaigns.  The 1-vs-8-thread and
+// journal-resume checks compare a build against itself; these digests
+// compare it against recorded reports, so a change that moves a reported
+// number, a key or the key order fails here.
+//
+// The set covers a burst campaign with pre/post traffic and degraded locks,
+// a traffic + integrity campaign, faults with row retirement draining the
+// spare pool, a timed campaign, 2- and 4-channel fabrics, a 4-channel serve
+// campaign, a chaos kill and a chaos storm.  BFA campaigns are left out
+// (their accuracy curves depend on the compiler's floating-point code
+// generation), and so are failed campaigns (an error string is not a
+// simulated result).
+//
+// When a change is *meant* to move a report, re-record the digest it
+// prints and say why in the change description.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <string>
+
+#include "common/crc32.hpp"
+#include "scenario/scenario.hpp"
+
+namespace {
+
+using namespace dl;
+using rowhammer::HammerPattern;
+using scenario::DefenseSpec;
+using scenario::HammerCampaign;
+using scenario::ServeCampaign;
+using traffic::StreamSpec;
+
+scenario::DramEnv env(std::uint32_t channels = 1) {
+  scenario::DramEnv e;
+  e.geometry.channels = 1;
+  e.geometry.ranks = 1;
+  e.geometry.banks = 2;
+  e.geometry.subarrays_per_bank = 4;
+  e.geometry.rows_per_subarray = 128;
+  e.geometry.row_bytes = 4096;
+  e.disturbance.t_rh = 1000;
+  e.disturbance_seed = 1;
+  e.fabric.channels = channels;
+  return e;
+}
+
+DefenseSpec locker_with_integrity() {
+  defense::DramLockerConfig cfg;
+  cfg.protect_radius = 2;
+  DefenseSpec d = DefenseSpec::dram_locker(cfg, 2).with_integrity({});
+  return d;
+}
+
+void enable_faults(scenario::DramEnv& e) {
+  e.faults.period_acts = 64;
+  e.faults.transient_rate = 0.5;
+  e.faults.retention_rate = 0.5;
+  e.faults.stuck_cells = 2;
+  e.faults.checksum_fault_rate = 0.1;
+  e.faults.target_base = 16;
+  e.faults.target_rows = 16;
+}
+
+HammerCampaign burst() {
+  HammerCampaign c;
+  c.name = "burst";
+  c.env = env();
+  defense::DramLockerConfig cfg;
+  cfg.protect_radius = 2;
+  cfg.lock_table_entries = 6;  // too few for both rows: degraded locks
+  c.defense = DefenseSpec::dram_locker(cfg, 2);
+  c.protected_rows = {20, 60};
+  c.attack.victim_row = 20;
+  c.attack.act_budget = 4000;
+  c.cycles = 2;
+  // Privileged reads of a locked aggressor row run the unlock SWAP.
+  c.pre_traffic = {{.row = 21, .repeat = 2, .bytes = 64, .can_unlock = true}};
+  c.post_traffic = {{.row = 40, .repeat = 3, .bytes = 4}};
+  return c;
+}
+
+HammerCampaign traffic_integrity() {
+  HammerCampaign c;
+  c.name = "traffic-integrity";
+  c.env = env();
+  c.defense = locker_with_integrity();
+  c.protected_rows = {20};
+  c.traffic.tenants = {
+      StreamSpec::weight_reader(16, 8, 400, 4, /*can_unlock=*/true),
+      StreamSpec::synthetic(64, 32, 300, 0.4, 0.2, 3),
+      StreamSpec::hammer(HammerPattern::kDoubleSided, 20, 1500),
+  };
+  c.cycles = 2;
+  return c;
+}
+
+HammerCampaign faults() {
+  HammerCampaign c;
+  c.name = "faults";
+  c.env = env();
+  enable_faults(c.env);
+  c.env.resilience.spare_rows = 1;  // one retirement drains the pool
+  c.env.resilience.strike_threshold = 1;
+  c.defense = DefenseSpec::counter_per_row(500, 2).with_integrity({});
+  c.protected_rows = {20, 21};
+  c.attack.victim_row = 20;
+  c.attack.act_budget = 3000;
+  c.cycles = 2;
+  return c;
+}
+
+HammerCampaign timed() {
+  HammerCampaign c;
+  c.name = "timed";
+  c.env = env();
+  c.env.timing_spec = {.enabled = true, .scheduled_refresh = true};
+  c.defense = DefenseSpec::row_swap(500, /*lazy_unswap=*/false, 3);
+  c.traffic.tenants = {
+      StreamSpec::weight_reader(64, 16, 600),
+      StreamSpec::hammer(HammerPattern::kManySided, 40, 2000),
+  };
+  c.cycles = 2;
+  return c;
+}
+
+HammerCampaign fabric2() {
+  HammerCampaign c;
+  c.name = "fabric2";
+  c.env = env(2);
+  c.defense = locker_with_integrity();
+  // Channel 1 owns fabric rows [1024, 2048) under row-blocked interleave.
+  c.protected_rows = {20, 1030};
+  c.traffic.tenants = {
+      StreamSpec::weight_reader(1016, 16, 500),
+      StreamSpec::synthetic(0, 2048, 400, 0.3, 0.2, 5),
+      StreamSpec::hammer(HammerPattern::kDoubleSided, 1030, 1500),
+  };
+  c.cycles = 2;
+  return c;
+}
+
+HammerCampaign fabric4() {
+  HammerCampaign c;
+  c.name = "fabric4";
+  c.env = env(4);
+  c.env.fabric.interleave = dram::InterleavePolicy::kRowRoundRobin;
+  defense::DramLockerConfig cfg;
+  cfg.protect_radius = 2;
+  c.env.fabric.channel_defenses = {
+      DefenseSpec::dram_locker(cfg, 2), DefenseSpec::counter_per_row(500, 2),
+      DefenseSpec::graphene(500, 64, 2), DefenseSpec::none()};
+  c.defense = DefenseSpec::none().with_integrity({});
+  c.protected_rows = {21, 22};
+  c.attack.victim_row = 21;  // channel 1 under round-robin
+  c.attack.act_budget = 3000;
+  c.cycles = 2;
+  return c;
+}
+
+ServeCampaign serve4() {
+  ServeCampaign c;
+  c.name = "serve4";
+  c.env = env(4);
+  c.env.timing_spec = {.enabled = true, .scheduled_refresh = true};
+  c.defense = locker_with_integrity();
+  c.protected_rows = {20};
+  c.traffic.tenants = {
+      StreamSpec::synthetic(256, 64, 600, 0.4, 0.2, 1),
+      StreamSpec::weight_reader(16, 8, 400),
+      StreamSpec::hammer(HammerPattern::kDoubleSided, 20, 1200),
+  };
+  c.traffic.tenants[0].name = "web";
+  c.traffic.tenants[1].name = "weights";
+  c.rounds = 2;
+  return c;
+}
+
+ServeCampaign chaos_kill() {
+  ServeCampaign c;
+  c.name = "chaos-kill";
+  c.env = env(2);
+  c.env.resilience.spare_rows = 4;
+  c.defense = DefenseSpec::none().with_integrity({});
+  c.protected_rows = {18, 1024 + 18};
+  c.traffic.tenants = {
+      StreamSpec::weight_reader(16, 8, 400),
+      StreamSpec::synthetic(64, 32, 200, 0.4, 0.2, 1),
+  };
+  StreamSpec pinned = StreamSpec::weight_reader(1024 + 16, 8, 300);
+  pinned.pin_channel = 1;
+  c.traffic.tenants.push_back(pinned);
+  c.traffic.admission.enabled = true;
+  c.traffic.admission.retry_budget = 2;
+  c.rounds = 3;
+  c.chaos.kill_channel = 1;
+  c.chaos.kill_at_round = 1;
+  c.chaos.restore_at_round = 2;
+  return c;
+}
+
+ServeCampaign chaos_storm() {
+  ServeCampaign c = chaos_kill();
+  c.name = "chaos-storm";
+  c.chaos = scenario::ChaosSpec{};
+  c.chaos.storm_start = 0;
+  c.chaos.storm_rounds = 2;
+  c.chaos.period_ramp = 0.5;
+  c.chaos.min_period_acts = 8;
+  c.chaos.stuck_cells_per_round = 2;
+  c.env.resilience.strike_threshold = 1;
+  enable_faults(c.env);
+  return c;
+}
+
+std::uint32_t digest(const dl::json::Value& report) {
+  return dl::crc32(report.dump());
+}
+
+std::string hex(std::uint32_t crc) {
+  char buf[12];
+  std::snprintf(buf, sizeof buf, "%08x", crc);
+  return buf;
+}
+
+TEST(GoldenReports, HammerCampaignDigests) {
+  const struct {
+    HammerCampaign campaign;
+    std::uint32_t crc;
+  } golden[] = {
+      {burst(), 0x71b26043u},
+      {traffic_integrity(), 0x9ece89dcu},
+      {faults(), 0xa7877f45u},
+      {timed(), 0x8c409125u},
+      {fabric2(), 0x1ca5f547u},
+      {fabric4(), 0x7c4d3ccau},
+  };
+  for (const auto& g : golden) {
+    const auto r = scenario::run_one(g.campaign);
+    EXPECT_EQ(r.status, scenario::CampaignStatus::kOk) << g.campaign.name;
+    EXPECT_EQ(hex(digest(scenario::to_json(r))), hex(g.crc))
+        << g.campaign.name;
+  }
+}
+
+TEST(GoldenReports, ServeCampaignDigests) {
+  const struct {
+    ServeCampaign campaign;
+    std::uint32_t crc;
+  } golden[] = {
+      {serve4(), 0x103f883bu},
+      {chaos_kill(), 0xdaab639du},
+      {chaos_storm(), 0x11779f7fu},
+  };
+  for (const auto& g : golden) {
+    const auto r = scenario::run_serve(g.campaign);
+    EXPECT_EQ(r.status, scenario::CampaignStatus::kOk) << g.campaign.name;
+    EXPECT_EQ(hex(digest(scenario::to_json(r))), hex(g.crc))
+        << g.campaign.name;
+  }
+}
+
+}  // namespace

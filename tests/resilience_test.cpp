@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -328,6 +329,51 @@ TEST(ChaosServe, StormTightensInjectorCadence) {
   EXPECT_EQ(r.availability.offered,
             r.availability.served + r.availability.shed +
                 r.availability.failed);
+}
+
+TEST(ChaosServe, RejectsSchedulesThatCannotRunAsDeclared) {
+  // Each malformed schedule fails before any round runs, with a message
+  // naming the field.  A ramp outside (0, 1] would convert out of the
+  // integer range (undefined behaviour; in practice the storm injects
+  // nothing), and a restore at or before the kill would leave the channel
+  // offline for the rest of the run without a message.
+  scenario::ServeCampaign storm = chaos_campaign();
+  storm.chaos = scenario::ChaosSpec{};
+  storm.chaos.storm_rounds = 2;
+  storm.env.faults.period_acts = 64;
+  storm.env.faults.transient_rate = 0.5;
+  const auto error_of = [](const scenario::ServeCampaign& c) {
+    const auto r = scenario::run_serve_isolated(c);
+    EXPECT_EQ(r.status, scenario::CampaignStatus::kFailed);
+    EXPECT_EQ(r.completed_rounds, 0u);
+    return r.error;
+  };
+  for (const double ramp : {-0.5, 0.0, std::nan(""), 1.5, 1e30}) {
+    scenario::ServeCampaign c = storm;
+    c.chaos.period_ramp = ramp;
+    EXPECT_NE(error_of(c).find("chaos.period_ramp"), std::string::npos)
+        << ramp;
+  }
+  scenario::ServeCampaign floor = storm;
+  floor.chaos.min_period_acts = 0;
+  EXPECT_NE(error_of(floor).find("chaos.min_period_acts"), std::string::npos);
+
+  scenario::ServeCampaign kill = chaos_campaign();
+  kill.rounds = 5;
+  kill.chaos.kill_at_round = 3;
+  kill.chaos.restore_at_round = 2;
+  EXPECT_NE(error_of(kill).find("chaos.restore_at_round"), std::string::npos);
+  kill.chaos.restore_at_round = 3;
+  EXPECT_NE(error_of(kill).find("chaos.restore_at_round"), std::string::npos);
+  // Never restoring (0) and restoring after the kill both stay valid.
+  for (const std::uint64_t restore : {0u, 4u}) {
+    kill.chaos.restore_at_round = restore;
+    EXPECT_EQ(scenario::run_serve(kill).status,
+              scenario::CampaignStatus::kOk);
+  }
+  // The documented boundary ramp of 1 (no tightening) runs too.
+  storm.chaos.period_ramp = 1.0;
+  EXPECT_EQ(scenario::run_serve(storm).status, scenario::CampaignStatus::kOk);
 }
 
 // ------------------------------------------------ admission conservation

@@ -217,7 +217,8 @@ TEST(ScenarioTest, ThrowingCampaignFailsWithoutKillingSiblings) {
   EXPECT_EQ(results[0].attack.granted_acts, 2000u);
   EXPECT_EQ(results[2].attack.granted_acts, 2000u);
   EXPECT_EQ(results[1].status, scenario::CampaignStatus::kFailed);
-  EXPECT_NE(results[1].error.find("exceeds the geometry"), std::string::npos);
+  EXPECT_NE(results[1].error.find("exceed the fabric row space"),
+            std::string::npos);
   EXPECT_EQ(results[1].attack.granted_acts, 0u);
 
   const std::string text = scenario::report_json(results).dump();
