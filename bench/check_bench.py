@@ -22,8 +22,9 @@ Checks, in order:
      disables the correction for same-machine comparisons.
 
 Benchmarks whose name matches a skip pattern (default: thread-autodetect
-variants ending in "/0", whose timing depends on the runner's core count)
-are excluded from both the baseline and the check.
+variants, an argument of 0 written "/0" or "/threads:0", whose timing
+depends on the runner's core count) are excluded from both the baseline
+and the check.
 
 Benchmarks present only in the current run are reported but do not fail
 the check; run with --update to fold them into the baseline.
@@ -35,7 +36,9 @@ import re
 import statistics
 import sys
 
-DEFAULT_SKIP = [r"/0($|/)"]  # thread-count-0 = autodetect: machine-shaped
+# thread-count-0 = autodetect: machine-shaped.  google-benchmark writes an
+# argument as "/0", or "/threads:0" when the benchmark names its arguments.
+DEFAULT_SKIP = [r"/(threads:)?0($|/)"]
 
 UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 

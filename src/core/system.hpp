@@ -191,7 +191,7 @@ class FabricView {
 /// stats, full roster on every channel) plus the element-wise merged
 /// fabric-wide report.  merged.elapsed is the slowest channel's clock (the
 /// steady-state makespan); per-tenant SLO quantiles come from the merged
-/// latency samples.
+/// latency histograms.
 struct FabricReport {
   std::vector<dl::traffic::TrafficReport> channels;
   dl::traffic::TrafficReport merged;

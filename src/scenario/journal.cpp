@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <type_traits>
 
 #include "common/crc32.hpp"
 #include "common/error.hpp"
@@ -31,6 +33,20 @@ double decode_double(const std::string& s) {
   return d;
 }
 
+/// Decodes an enum journaled as its integer code.  A code that `to_string`
+/// does not name throws, naming the field, so the loader skips the line
+/// and the campaign re-runs instead of reporting "?".
+template <typename Enum>
+Enum enum_from(const Value& v, const char* field) {
+  const std::uint64_t code = v.as_u64();
+  if (code <= std::numeric_limits<std::underlying_type_t<Enum>>::max()) {
+    const auto e = static_cast<Enum>(code);
+    if (std::strcmp(to_string(e), "?") != 0) return e;
+  }
+  throw dl::Error(std::string("journal: unknown ") + field + " code " +
+                  std::to_string(code));
+}
+
 CampaignStatus status_from(const std::string& s) {
   if (s == "ok") return CampaignStatus::kOk;
   if (s == "failed") return CampaignStatus::kFailed;
@@ -48,9 +64,10 @@ Value integrity_config_to_journal(const dl::integrity::Config& c) {
 
 dl::integrity::Config integrity_config_from(const Value& v) {
   dl::integrity::Config c;
-  c.scheme = static_cast<dl::integrity::Scheme>(v.at("scheme").as_u64());
+  c.scheme = enum_from<dl::integrity::Scheme>(v.at("scheme"), "scheme");
   c.group_size = static_cast<std::uint32_t>(v.at("group_size").as_u64());
-  c.recovery = static_cast<dl::integrity::Recovery>(v.at("recovery").as_u64());
+  c.recovery =
+      enum_from<dl::integrity::Recovery>(v.at("recovery"), "recovery");
   return c;
 }
 
@@ -73,16 +90,42 @@ Value tenant_to_journal(const dl::traffic::TenantStats& t) {
   tv["shed"] = t.shed;
   tv["failed"] = t.failed;
   tv["deadline_misses"] = t.deadline_misses;
-  auto lat = Value::array();
-  for (const Picoseconds p : t.queue_latency) lat.push_back(p);
-  tv["queue_latency"] = std::move(lat);
+  auto bins = Value::array();
+  for (const auto& b : t.queue_latency.bins()) {
+    bins.push_back(b.value);
+    bins.push_back(b.count);
+  }
+  tv["queue_latency_bins"] = std::move(bins);
   return tv;
+}
+
+/// A tenant's latency histogram: a flat [value, count, ...] bin list under
+/// "queue_latency_bins", or, on lines written before the histogram, the
+/// raw samples under "queue_latency", folded here.  A malformed bin list
+/// throws, so the line is skipped and its campaign re-runs.
+dl::traffic::LatencyHistogram latency_from(const Value& tv) {
+  using dl::traffic::LatencyHistogram;
+  if (const Value* flat = tv.find("queue_latency_bins")) {
+    DL_REQUIRE(flat->is_array() && flat->size() % 2 == 0,
+               "journal: queue_latency_bins must be [value, count, ...]");
+    std::vector<LatencyHistogram::Bin> bins(flat->size() / 2);
+    for (std::size_t j = 0; j < bins.size(); ++j) {
+      bins[j] = {flat->item(2 * j).as_i64(), flat->item(2 * j + 1).as_u64()};
+    }
+    return LatencyHistogram::from_bins(std::move(bins));
+  }
+  const Value& raw = tv.at("queue_latency");
+  std::vector<Picoseconds> samples(raw.size());
+  for (std::size_t j = 0; j < samples.size(); ++j) {
+    samples[j] = raw.item(j).as_i64();
+  }
+  return LatencyHistogram::fold(std::move(samples));
 }
 
 dl::traffic::TenantStats tenant_from_journal(const Value& tv) {
   dl::traffic::TenantStats t;
   t.name = tv.at("name").as_string();
-  t.kind = static_cast<dl::traffic::StreamKind>(tv.at("kind").as_u64());
+  t.kind = enum_from<dl::traffic::StreamKind>(tv.at("kind"), "kind");
   t.issued = tv.at("issued").as_u64();
   t.granted = tv.at("granted").as_u64();
   t.denied = tv.at("denied").as_u64();
@@ -98,11 +141,7 @@ dl::traffic::TenantStats tenant_from_journal(const Value& tv) {
   t.shed = tv.at("shed").as_u64();
   t.failed = tv.at("failed").as_u64();
   t.deadline_misses = tv.at("deadline_misses").as_u64();
-  const Value& lat = tv.at("queue_latency");
-  t.queue_latency.reserve(lat.size());
-  for (std::size_t j = 0; j < lat.size(); ++j) {
-    t.queue_latency.push_back(lat.item(j).as_i64());
-  }
+  t.queue_latency = latency_from(tv);
   return t;
 }
 
@@ -551,8 +590,8 @@ ServeCampaignResult serve_from_journal(const Value& v) {
   const Value& health = v.at("channel_health");
   r.channel_health.reserve(health.size());
   for (std::size_t i = 0; i < health.size(); ++i) {
-    r.channel_health.push_back(
-        static_cast<dl::resilience::ChannelHealth>(health.item(i).as_u64()));
+    r.channel_health.push_back(enum_from<dl::resilience::ChannelHealth>(
+        health.item(i), "channel_health"));
   }
   r.chaos_enabled = v.at("chaos_enabled").as_bool();
   if (r.chaos_enabled) {

@@ -2,7 +2,10 @@
 #include "traffic/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -14,24 +17,109 @@ double TenantStats::row_hit_rate() const {
                      : 0.0;
 }
 
+std::uint64_t LatencyHistogram::rank_index(double q, std::uint64_t n) {
+  // Nearest rank, not a floored index: a floored index would report the
+  // *minimum* as p99 of two samples.
+  const double rank = std::ceil(q * static_cast<double>(n));
+  if (!(rank >= 1.0)) return 0;
+  if (rank >= static_cast<double>(n)) return n - 1;
+  return static_cast<std::uint64_t>(rank) - 1;
+}
+
 namespace {
 
-/// Nearest-rank percentile: the smallest sample >= q of the distribution.
-/// (A floored index would report the *minimum* as p99 of two samples.)
-Picoseconds rank_quantile(const std::vector<Picoseconds>& sorted, double q) {
-  if (sorted.empty()) return 0;
-  const double rank = std::ceil(q * static_cast<double>(sorted.size()));
-  const auto idx = rank < 1.0 ? std::size_t{0}
-                              : static_cast<std::size_t>(rank) - 1;
-  return sorted[std::min(idx, sorted.size() - 1)];
+/// LSD radix sort over the bytes in which the samples differ (offset from
+/// the minimum), so a run's samples sort in a few linear passes — latency
+/// ranges rarely span more than three bytes.
+void radix_sort(std::vector<Picoseconds>& samples) {
+  if (samples.size() < 2) return;
+  const auto [lo, hi] = std::minmax_element(samples.begin(), samples.end());
+  const auto base = static_cast<std::uint64_t>(*lo);
+  const std::uint64_t range = static_cast<std::uint64_t>(*hi) - base;
+  std::vector<Picoseconds> scratch(samples.size());
+  for (unsigned shift = 0; shift < 64 && (range >> shift) != 0; shift += 8) {
+    const auto digit = [&](Picoseconds v) {
+      return ((static_cast<std::uint64_t>(v) - base) >> shift) & 0xFF;
+    };
+    std::array<std::size_t, 256> start{};
+    for (const Picoseconds v : samples) ++start[digit(v)];
+    std::size_t offset = 0;
+    for (std::size_t& s : start) offset += std::exchange(s, offset);
+    for (const Picoseconds v : samples) scratch[start[digit(v)]++] = v;
+    samples.swap(scratch);
+  }
 }
 
 }  // namespace
 
+LatencyHistogram LatencyHistogram::fold(std::vector<Picoseconds> samples) {
+  radix_sort(samples);
+  LatencyHistogram h;
+  h.samples_ = samples.size();
+  for (const Picoseconds v : samples) {
+    if (h.bins_.empty() || h.bins_.back().value != v) {
+      h.bins_.push_back({v, 0});
+    }
+    ++h.bins_.back().count;
+  }
+  return h;
+}
+
+LatencyHistogram LatencyHistogram::from_bins(std::vector<Bin> bins) {
+  LatencyHistogram h;
+  for (std::size_t i = 0; i < bins.size(); ++i) {
+    DL_REQUIRE(bins[i].count > 0, "latency histogram: bin with zero count");
+    DL_REQUIRE(i == 0 || bins[i].value > bins[i - 1].value,
+               "latency histogram: bin values must strictly ascend");
+    DL_REQUIRE(bins[i].count <=
+                   std::numeric_limits<std::uint64_t>::max() - h.samples_,
+               "latency histogram: sample total overflows");
+    h.samples_ += bins[i].count;
+  }
+  h.bins_ = std::move(bins);
+  return h;
+}
+
+void LatencyHistogram::merge(const LatencyHistogram& other) {
+  if (other.empty()) return;
+  if (empty()) {
+    *this = other;
+    return;
+  }
+  std::vector<Bin> out;
+  out.reserve(bins_.size() + other.bins_.size());
+  auto a = bins_.cbegin();
+  auto b = other.bins_.cbegin();
+  while (a != bins_.cend() && b != other.bins_.cend()) {
+    if (a->value < b->value) {
+      out.push_back(*a++);
+    } else if (b->value < a->value) {
+      out.push_back(*b++);
+    } else {
+      out.push_back({a->value, a->count + b->count});
+      ++a;
+      ++b;
+    }
+  }
+  out.insert(out.end(), a, bins_.cend());
+  out.insert(out.end(), b, other.bins_.cend());
+  bins_ = std::move(out);
+  samples_ += other.samples_;
+}
+
+Picoseconds LatencyHistogram::quantile(double q) const {
+  if (empty()) return 0;
+  const std::uint64_t idx = rank_index(q, samples_);
+  std::uint64_t covered = 0;
+  for (const Bin& b : bins_) {
+    covered += b.count;
+    if (covered > idx) return b.value;
+  }
+  return bins_.back().value;  // unreachable: the counts sum to samples_
+}
+
 Picoseconds TenantStats::latency_quantile(double q) const {
-  std::vector<Picoseconds> sorted = queue_latency;
-  std::sort(sorted.begin(), sorted.end());
-  return rank_quantile(sorted, q);
+  return queue_latency.quantile(q);
 }
 
 void TenantStats::merge(const TenantStats& other) {
@@ -45,8 +133,7 @@ void TenantStats::merge(const TenantStats& other) {
   row_hits += other.row_hits;
   data_bytes += other.data_bytes;
   service_time += other.service_time;
-  queue_latency.insert(queue_latency.end(), other.queue_latency.begin(),
-                       other.queue_latency.end());
+  queue_latency.merge(other.queue_latency);
   admission = admission || other.admission;
   retried += other.retried;
   shed += other.shed;
@@ -66,8 +153,10 @@ TrafficEngine::TrafficEngine(dl::dram::Controller& ctrl,
   retry_count_.resize(tenants.size(), 0);
   deadline_.resize(tenants.size(), 0);
   slo_p99_.resize(tenants.size(), 0);
-  cached_p99_.resize(tenants.size(), 0);
-  p99_samples_.resize(tenants.size(), 0);
+  latency_.resize(tenants.size());
+  within_slo_.resize(tenants.size(), 0);
+  shedding_.resize(tenants.size(), 0);
+  verdict_samples_.resize(tenants.size(), 0);
   for (std::size_t i = 0; i < tenants.size(); ++i) {
     if (tenants[i].name.empty()) {
       // Built with append rather than operator+ chains: GCC 12's -Wrestrict
@@ -87,13 +176,13 @@ TrafficEngine::TrafficEngine(dl::dram::Controller& ctrl,
     // Every declared request is eventually serviced and records one
     // latency sample; reserving up front keeps the drain loop free of
     // reallocation growth.
-    stats_[i].queue_latency.reserve(
-        static_cast<std::size_t>(tenants[i].requests));
+    latency_[i].reserve(static_cast<std::size_t>(tenants[i].requests));
   }
 }
 
 void TrafficEngine::record(const Serviced& s) {
-  TenantStats& t = stats_[s.req.tenant];
+  const std::size_t i = s.req.tenant;
+  TenantStats& t = stats_[i];
   if (s.result.granted) {
     ++t.granted;
     if (s.req.bytes == 0) {
@@ -110,9 +199,10 @@ void TrafficEngine::record(const Serviced& s) {
     ++t.denied;
   }
   t.service_time += s.result.latency;
-  t.queue_latency.push_back(s.completed_at - s.req.enqueued_at);
-  if (admission_.enabled && deadline_[s.req.tenant] > 0 &&
-      s.completed_at - s.req.enqueued_at > deadline_[s.req.tenant]) {
+  const Picoseconds latency = s.completed_at - s.req.enqueued_at;
+  latency_[i].push_back(latency);
+  if (latency <= slo_p99_[i]) ++within_slo_[i];
+  if (admission_.enabled && deadline_[i] > 0 && latency > deadline_[i]) {
     ++t.deadline_misses;
   }
   ++serviced_;
@@ -121,17 +211,18 @@ void TrafficEngine::record(const Serviced& s) {
 
 bool TrafficEngine::should_shed(std::size_t i) {
   if (!admission_.enabled || slo_p99_[i] == 0) return false;
-  TenantStats& t = stats_[i];
-  if (t.queue_latency.size() < admission_.min_latency_samples) return false;
-  // Re-sorting the whole sample set per injection would dominate the loop;
-  // the cached p99 advances every kP99Stride completions, which is fresh
+  const std::size_t n = latency_[i].size();
+  if (n < admission_.min_latency_samples) return false;
+  // The verdict advances every kP99Stride completions, which is fresh
   // enough for load shedding (an SLO breach persists across strides).
-  if (t.queue_latency.size() - p99_samples_[i] >= kP99Stride ||
-      p99_samples_[i] == 0) {
-    cached_p99_[i] = t.latency_quantile(0.99);
-    p99_samples_[i] = t.queue_latency.size();
+  // The nearest-rank p99 exceeds the SLO exactly when fewer samples than
+  // its rank lie within the SLO.
+  if (n - verdict_samples_[i] >= kP99Stride || verdict_samples_[i] == 0) {
+    shedding_[i] =
+        n > 0 && within_slo_[i] < LatencyHistogram::rank_index(0.99, n) + 1;
+    verdict_samples_[i] = n;
   }
-  return cached_p99_[i] > slo_p99_[i];
+  return shedding_[i] != 0;
 }
 
 TrafficReport TrafficEngine::run() {
@@ -187,6 +278,10 @@ TrafficReport TrafficEngine::run() {
     if (scheduler_.drain_pass(sink) > 0) work = true;
   }
   scheduler_.drain_all(sink);
+  for (std::size_t i = 0; i < stats_.size(); ++i) {
+    stats_[i].queue_latency.merge(
+        LatencyHistogram::fold(std::exchange(latency_[i], {})));
+  }
 
   TrafficReport report;
   report.tenants = stats_;
@@ -212,12 +307,10 @@ dl::json::Value to_json(const TenantStats& t, Picoseconds elapsed) {
   v["row_hit_rate"] = t.row_hit_rate();
   v["data_bytes"] = t.data_bytes;
   v["service_time_ps"] = t.service_time;
-  std::vector<Picoseconds> sorted = t.queue_latency;
-  std::sort(sorted.begin(), sorted.end());
   auto lat = dl::json::Value::object();
-  lat["p50_ns"] = to_nanoseconds(rank_quantile(sorted, 0.50));
-  lat["p95_ns"] = to_nanoseconds(rank_quantile(sorted, 0.95));
-  lat["p99_ns"] = to_nanoseconds(rank_quantile(sorted, 0.99));
+  lat["p50_ns"] = to_nanoseconds(t.latency_quantile(0.50));
+  lat["p95_ns"] = to_nanoseconds(t.latency_quantile(0.95));
+  lat["p99_ns"] = to_nanoseconds(t.latency_quantile(0.99));
   v["queue_latency"] = std::move(lat);
   if (t.kind == StreamKind::kHammer) {
     const double secs = to_seconds(elapsed);

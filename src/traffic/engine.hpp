@@ -42,6 +42,50 @@ struct AdmissionSpec {
   std::uint32_t min_latency_samples = 16;
 };
 
+/// Exact queue-latency distribution: (value, count) bins in strictly
+/// ascending value order, every count positive, plus the sample total.
+/// Memory scales with the number of distinct latencies, not requests;
+/// merging two histograms is a linear merge of their bin lists, and every
+/// quantile equals the nearest-rank percentile of the raw samples, so
+/// stats merged across cycles, rounds and channels stay exact.
+class LatencyHistogram {
+ public:
+  struct Bin {
+    Picoseconds value = 0;
+    std::uint64_t count = 0;
+    friend bool operator==(const Bin&, const Bin&) = default;
+  };
+
+  LatencyHistogram() = default;
+  /// Folds raw samples given in any order.
+  [[nodiscard]] static LatencyHistogram fold(std::vector<Picoseconds> samples);
+  /// Adopts bins from outside the engine (a journal line); throws dl::Error
+  /// unless values strictly ascend, every count is positive and the total
+  /// fits in 64 bits.
+  [[nodiscard]] static LatencyHistogram from_bins(std::vector<Bin> bins);
+
+  /// 0-based nearest-rank index of the q-quantile among n > 0 sorted
+  /// samples: min(ceil(q*n), n) - 1, clamped at 0.
+  [[nodiscard]] static std::uint64_t rank_index(double q, std::uint64_t n);
+
+  /// Adds `other`'s samples.
+  void merge(const LatencyHistogram& other);
+  /// Nearest-rank percentile (q in [0,1]): the smallest sample covering a
+  /// q-fraction of the set; 0 when empty.
+  [[nodiscard]] Picoseconds quantile(double q) const;
+
+  [[nodiscard]] std::uint64_t size() const { return samples_; }  ///< samples
+  [[nodiscard]] bool empty() const { return samples_ == 0; }
+  [[nodiscard]] const std::vector<Bin>& bins() const { return bins_; }
+
+  friend bool operator==(const LatencyHistogram&,
+                         const LatencyHistogram&) = default;
+
+ private:
+  std::vector<Bin> bins_;
+  std::uint64_t samples_ = 0;
+};
+
 /// Per-tenant outcome statistics.  Plain value type: safe to copy across
 /// threads once a run completes; merge() is the only mutator campaigns
 /// use (cycle accumulation, always on the owning thread).
@@ -61,9 +105,10 @@ struct TenantStats {
   std::uint64_t row_hits = 0;     ///< granted requests hitting an open row
   std::uint64_t data_bytes = 0;   ///< bytes moved by granted reads/writes
   Picoseconds service_time = 0;   ///< controller latency of own requests
-  /// Queue latency (enqueue -> completion, simulated time) per request;
-  /// kept raw so merged stats across cycles still yield exact percentiles.
-  std::vector<Picoseconds> queue_latency;
+  /// Queue latency (enqueue -> completion, simulated time) of every
+  /// serviced request as an exact histogram: size() counts the samples,
+  /// and percentiles of merged stats equal those of the pooled samples.
+  LatencyHistogram queue_latency;
 
   // Admission-control outcomes (all zero — and the report block absent —
   // unless the engine ran with AdmissionSpec::enabled).
@@ -74,12 +119,11 @@ struct TenantStats {
   std::uint64_t deadline_misses = 0; ///< completions past spec.deadline
 
   [[nodiscard]] double row_hit_rate() const;
-  /// Nearest-rank latency percentile over the recorded samples (q in
-  /// [0,1]): the smallest sample covering a q-fraction of the set.
+  /// queue_latency.quantile(q).
   [[nodiscard]] Picoseconds latency_quantile(double q) const;
 
   /// Accumulates another run of the same tenant (stats added, latency
-  /// samples appended).
+  /// histograms merged).
   void merge(const TenantStats& other);
 };
 
@@ -138,10 +182,16 @@ class TrafficEngine {
   /// outcome counters).
   std::vector<Picoseconds> deadline_;
   std::vector<Picoseconds> slo_p99_;
-  /// Cached p99 per tenant, recomputed every kP99Stride new samples so
-  /// SLO checks stay off the sort-per-injection path.
-  std::vector<Picoseconds> cached_p99_;
-  std::vector<std::size_t> p99_samples_;
+  /// This run's raw latency samples per tenant, folded into
+  /// TenantStats::queue_latency when run() drains.
+  std::vector<std::vector<Picoseconds>> latency_;
+  /// Samples <= slo_p99 per tenant: the p99 breaches the SLO exactly when
+  /// this count is below the p99's rank, so shedding needs no sort.
+  std::vector<std::uint64_t> within_slo_;
+  /// Shed verdict per tenant, refreshed every kP99Stride new samples, and
+  /// the sample count it was taken at.
+  std::vector<std::uint8_t> shedding_;
+  std::vector<std::size_t> verdict_samples_;
 
   static constexpr std::size_t kP99Stride = 32;
 

@@ -7,7 +7,8 @@
 // The set covers a burst campaign with pre/post traffic and degraded locks,
 // a traffic + integrity campaign, faults with row retirement draining the
 // spare pool, a timed campaign, 2- and 4-channel fabrics, a 4-channel serve
-// campaign, a chaos kill and a chaos storm.  BFA campaigns are left out
+// campaign, a chaos kill, a chaos storm and a serve campaign that sheds
+// load on a p99 SLO.  BFA campaigns are left out
 // (their accuracy curves depend on the compiler's floating-point code
 // generation), and so are failed campaigns (an error string is not a
 // simulated result).
@@ -214,6 +215,29 @@ ServeCampaign chaos_storm() {
   return c;
 }
 
+ServeCampaign slo_shed() {
+  ServeCampaign c;
+  c.name = "slo-shed";
+  c.env = env(2);
+  c.env.timing_spec = {.enabled = true, .scheduled_refresh = true};
+  c.defense = DefenseSpec::none();
+  c.traffic.tenants = {
+      StreamSpec::synthetic(256, 64, 600, 0.4, 0.2, 1),
+      StreamSpec::weight_reader(16, 8, 400),
+      StreamSpec::hammer(HammerPattern::kDoubleSided, 1040, 600),
+  };
+  // Without shedding web's p99 is 2.95 us, so a 2.9 us SLO sheds part of
+  // its load (348 of 1200 requests) and the deadline misses 89 of the rest.
+  c.traffic.tenants[0].name = "web";
+  c.traffic.tenants[0].slo_p99 = 2'900'000;
+  c.traffic.tenants[0].deadline = 2'700'000;
+  c.traffic.tenants[1].name = "weights";
+  c.traffic.admission.enabled = true;
+  c.traffic.admission.min_latency_samples = 64;
+  c.rounds = 2;
+  return c;
+}
+
 std::uint32_t digest(const dl::json::Value& report) {
   return dl::crc32(report.dump());
 }
@@ -252,6 +276,7 @@ TEST(GoldenReports, ServeCampaignDigests) {
       {serve4(), 0x103f883bu},
       {chaos_kill(), 0xdaab639du},
       {chaos_storm(), 0x11779f7fu},
+      {slo_shed(), 0x9ff580d4u},
   };
   for (const auto& g : golden) {
     const auto r = scenario::run_serve(g.campaign);

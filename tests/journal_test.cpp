@@ -2,12 +2,15 @@
 // hammer and BFA campaigns, torn-tail tolerance, and failed-entry replay.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "nn/data.hpp"
 #include "nn/layers.hpp"
@@ -257,11 +260,11 @@ TEST(Journal, LegacyLineWithoutTrailerStillLoads) {
 
 // ------------------------------------------------------ serve journal
 
-TEST(Journal, ServeResumeIsByteIdentical) {
-  // A plain serve campaign and a chaos one (resilience + admission + a
-  // mid-run channel kill): the chaos result exercises every serve journal
-  // field — availability block, channel health, resilience counters, and
-  // per-tenant admission stats.
+/// A plain serve campaign and a chaos one (resilience + admission + a
+/// mid-run channel kill): the chaos result exercises every serve journal
+/// field — availability block, channel health, resilience counters, and
+/// per-tenant admission stats.
+std::vector<scenario::ServeCampaign> serve_campaigns() {
   scenario::ServeCampaign plain;
   plain.name = "serve/plain";
   plain.env = small_env();
@@ -288,19 +291,27 @@ TEST(Journal, ServeResumeIsByteIdentical) {
   chaos.chaos.kill_channel = 1;
   chaos.chaos.kill_at_round = 1;
   chaos.chaos.restore_at_round = 2;
-  const std::vector<scenario::ServeCampaign> campaigns = {plain, chaos};
+  return {plain, chaos};
+}
 
+std::string serve_report(
+    const std::vector<scenario::ServeCampaignResult>& results) {
+  return scenario::report_json({}, {}, results).dump(2);
+}
+
+TEST(Journal, ServeResumeIsByteIdentical) {
+  const auto campaigns = serve_campaigns();
   std::vector<scenario::ServeCampaignResult> direct;
   for (const auto& c : campaigns) {
     direct.push_back(scenario::run_serve_isolated(c));
   }
-  const std::string expected = scenario::report_json({}, {}, direct).dump(2);
+  const std::string expected = serve_report(direct);
 
   const std::string path = journal_path("serve");
   {
     CampaignJournal journal(path);
     const auto first = scenario::run_serve_journaled(campaigns, journal);
-    EXPECT_EQ(scenario::report_json({}, {}, first).dump(2), expected);
+    EXPECT_EQ(serve_report(first), expected);
   }
   CampaignJournal journal(path);
   EXPECT_EQ(journal.loaded(), campaigns.size());
@@ -309,7 +320,223 @@ TEST(Journal, ServeResumeIsByteIdentical) {
   EXPECT_TRUE(cached->chaos_enabled);
   EXPECT_GT(cached->availability.offered, 0u);
   const auto resumed = scenario::run_serve_journaled(campaigns, journal);
-  EXPECT_EQ(scenario::report_json({}, {}, resumed).dump(2), expected);
+  EXPECT_EQ(serve_report(resumed), expected);
+  std::remove(path.c_str());
+}
+
+/// Writes `json` as the journal's only line, signed with a valid CRC
+/// trailer, so only the decoder can reject it.
+void write_signed_line(const std::string& path, const std::string& json) {
+  char trailer[20];
+  std::snprintf(trailer, sizeof trailer, "\t#crc32:%08x", dl::crc32(json));
+  std::ofstream out(path, std::ios::trunc);
+  out << json << trailer << '\n';
+}
+
+/// The JSON payload of `r`'s journal line.
+std::string journal_json(const scenario::ServeCampaignResult& r,
+                         const std::string& path) {
+  {
+    CampaignJournal journal(path);
+    journal.record(r);
+  }
+  std::string line;
+  std::ifstream in(path);
+  std::getline(in, line);
+  line.resize(line.rfind('\t'));
+  return line;
+}
+
+/// Replaces the first numeric `"key":<n>` in `json`, or the first element
+/// of a `"key":[n, ...]` array, with `text`.
+std::string with_value(std::string json, const std::string& key,
+                       const std::string& text) {
+  const std::string tag = "\"" + key + "\":";
+  for (std::size_t pos = json.find(tag); pos != std::string::npos;
+       pos = json.find(tag, pos + 1)) {
+    std::size_t at = pos + tag.size();
+    if (json[at] == '[') ++at;
+    if (std::isdigit(static_cast<unsigned char>(json[at])) != 0) {
+      return json.replace(at, json.find_first_of(",]}", at) - at, text);
+    }
+  }
+  ADD_FAILURE() << "no numeric \"" << key << "\" in the line";
+  return json;
+}
+
+scenario::ServeCampaign tiny_serve() {
+  scenario::ServeCampaign c;
+  c.name = "serve/tiny";
+  c.env = small_env();
+  c.traffic.tenants = {
+      dl::traffic::StreamSpec::weight_reader(16, 4, 24),
+      dl::traffic::StreamSpec::synthetic(64, 8, 16, 0.4, 0.2, 1),
+  };
+  c.rounds = 2;
+  return c;
+}
+
+// tiny_serve()'s journal line as written before tenants stored latency
+// histograms: raw samples under "queue_latency", with the CRC trailer.
+const char* const kRawSampleServeLine =
+    R"({"kind":"serve","name":"serve/tiny","status":"ok","error":"")"
+    R"(,"fabric_channels":1,"completed_rounds":2,"merged":{"serviced":80)"
+    R"(,"elapsed":1885390,"tenants":[{"name":"t0/weight-reader","kind":0)"
+    R"(,"issued":48,"granted":48,"denied":0,"rejected_enqueues":0)"
+    R"(,"reads":48,"writes":0,"hammer_acts":0,"row_hits":44)"
+    R"(,"data_bytes":3072,"service_time":916234,"admission":false)"
+    R"(,"retried":0,"shed":0,"failed":0,"deadline_misses":0)"
+    R"(,"queue_latency":[30833,47916,64999,82082,17083,34166,51249,68332)"
+    R"(,17083,34166,51249,68332,404579,421662,438745,455828,334579,351662)"
+    R"(,368745,385828,334579,351662,368745,385828,44583,61666,78749,95832)"
+    R"(,17083,34166,51249,68332,17083,34166,51249,68332,496245,513328)"
+    R"(,530411,547494,423745,440828,457911,474994,381245,398328,415411)"
+    R"(,432494]},{"name":"t1/synthetic","kind":1,"issued":32,"granted":32)"
+    R"(,"denied":0,"rejected_enqueues":0,"reads":24,"writes":8)"
+    R"(,"hammer_acts":0,"row_hits":21,"data_bytes":2048)"
+    R"(,"service_time":969156,"admission":false,"retried":0,"shed":0)"
+    R"(,"failed":0,"deadline_misses":0,"queue_latency":[263329,307912)"
+    R"(,339995,357078,292079,309162,326245,274996,387911,379162,396245)"
+    R"(,428328,637075,654158,671241,688324,292079,309162,341245,373328)"
+    R"(,157915,339162,302913,251664,432911,449994,494577,470828,487911)"
+    R"(,519994,728741,745824]}]},"per_channel":[{"serviced":80)"
+    R"(,"elapsed":1885390,"tenants":[{"name":"t0/weight-reader","kind":0)"
+    R"(,"issued":48,"granted":48,"denied":0,"rejected_enqueues":0)"
+    R"(,"reads":48,"writes":0,"hammer_acts":0,"row_hits":44)"
+    R"(,"data_bytes":3072,"service_time":916234,"admission":false)"
+    R"(,"retried":0,"shed":0,"failed":0,"deadline_misses":0)"
+    R"(,"queue_latency":[30833,47916,64999,82082,17083,34166,51249,68332)"
+    R"(,17083,34166,51249,68332,404579,421662,438745,455828,334579,351662)"
+    R"(,368745,385828,334579,351662,368745,385828,44583,61666,78749,95832)"
+    R"(,17083,34166,51249,68332,17083,34166,51249,68332,496245,513328)"
+    R"(,530411,547494,423745,440828,457911,474994,381245,398328,415411)"
+    R"(,432494]},{"name":"t1/synthetic","kind":1,"issued":32,"granted":32)"
+    R"(,"denied":0,"rejected_enqueues":0,"reads":24,"writes":8)"
+    R"(,"hammer_acts":0,"row_hits":21,"data_bytes":2048)"
+    R"(,"service_time":969156,"admission":false,"retried":0,"shed":0)"
+    R"(,"failed":0,"deadline_misses":0,"queue_latency":[263329,307912)"
+    R"(,339995,357078,292079,309162,326245,274996,387911,379162,396245)"
+    R"(,428328,637075,654158,671241,688324,292079,309162,341245,373328)"
+    R"(,157915,339162,302913,251664,432911,449994,494577,470828,487911)"
+    R"(,519994,728741,745824]}]}],"locker":{"rw_instructions":0)"
+    R"(,"denied":0,"unlock_swaps":0,"relocks":0,"swap_copy_errors":0)"
+    R"(,"pool_exhausted_denials":0,"swap_budget_denials":0)"
+    R"(,"degraded_locks":0,"degraded_swaps":0,"fallback_refreshes":0})"
+    R"(,"locked_rows":0,"defense_time":0,"integrity_enabled":false)"
+    R"(,"faults_enabled":false,"degraded":false,"timed":false)"
+    R"(,"resilience_enabled":false,"channel_health":[])"
+    R"(,"chaos_enabled":false})"
+    "\t#crc32:c4b7607e";
+
+TEST(Journal, RawSampleLineFromOlderJournalLoadsAndFolds) {
+  const std::string path = journal_path("raw_samples");
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << kRawSampleServeLine << '\n';
+  }
+  const auto fresh = scenario::run_serve_isolated(tiny_serve());
+  CampaignJournal journal(path);
+  EXPECT_EQ(journal.crc_mismatches(), 0u);
+  EXPECT_EQ(journal.loaded(), 1u);
+  const auto* cached = journal.find_serve("serve/tiny");
+  ASSERT_NE(cached, nullptr);
+  ASSERT_EQ(cached->merged.tenants.size(), fresh.merged.tenants.size());
+  for (std::size_t i = 0; i < fresh.merged.tenants.size(); ++i) {
+    EXPECT_EQ(cached->merged.tenants[i].queue_latency,
+              fresh.merged.tenants[i].queue_latency);
+  }
+  EXPECT_EQ(serve_report({*cached}), serve_report({fresh}));
+  std::remove(path.c_str());
+}
+
+TEST(Journal, LatencyHistogramRoundTripsExactly) {
+  // Extreme values (0 and near INT64_MAX) and large counts next to the
+  // bins a real run produces.
+  auto r = scenario::run_serve_isolated(serve_campaigns()[1]);
+  ASSERT_EQ(r.status, scenario::CampaignStatus::kOk);
+  std::vector<Picoseconds> extremes(5000, 0);
+  extremes.push_back(std::numeric_limits<Picoseconds>::max());
+  extremes.push_back(std::numeric_limits<Picoseconds>::max() - 1);
+  r.per_channel[0].tenants[0].queue_latency.merge(
+      dl::traffic::LatencyHistogram::fold(extremes));
+  const std::string path = journal_path("histogram");
+  (void)journal_json(r, path);
+  CampaignJournal journal(path);
+  const auto* cached = journal.find_serve(r.name);
+  ASSERT_NE(cached, nullptr);
+  const auto same_latency = [](const dl::traffic::TrafficReport& a,
+                               const dl::traffic::TrafficReport& b) {
+    ASSERT_EQ(a.tenants.size(), b.tenants.size());
+    for (std::size_t i = 0; i < a.tenants.size(); ++i) {
+      EXPECT_EQ(a.tenants[i].queue_latency, b.tenants[i].queue_latency)
+          << a.tenants[i].name;
+    }
+  };
+  same_latency(cached->merged, r.merged);
+  ASSERT_EQ(cached->per_channel.size(), r.per_channel.size());
+  for (std::size_t c = 0; c < r.per_channel.size(); ++c) {
+    same_latency(cached->per_channel[c], r.per_channel[c]);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Journal, MalformedLatencyBinsAreNotRestored) {
+  const auto r = scenario::run_serve_isolated(tiny_serve());
+  const std::string path = journal_path("bad_bins");
+  const std::string json = journal_json(r, path);
+  const std::string tag = "\"queue_latency_bins\":[";
+  const std::size_t begin = json.find(tag);
+  ASSERT_NE(begin, std::string::npos);
+  const std::size_t end = json.find(']', begin);
+  for (const char* bins : {"[1000,2,3000]",     // odd length
+                           "[1000,2,3000,0]",   // zero count
+                           "[3000,2,1000,1]",   // descending
+                           "[1000,2,1000,1]",   // repeated value
+                           "[1000,-2]",         // negative count
+                           "[\"1000\",2]"}) {  // not a number
+    std::string bad = json;
+    bad.replace(begin + tag.size() - 1, end - begin - tag.size() + 2, bins);
+    write_signed_line(path, bad);
+    CampaignJournal journal(path);
+    EXPECT_EQ(journal.crc_mismatches(), 0u) << bins;
+    EXPECT_EQ(journal.loaded(), 0u) << bins;
+    EXPECT_EQ(journal.find_serve(r.name), nullptr) << bins;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Journal, OutOfRangeEnumCodesAreNotRestored) {
+  // Each enum the journal stores as an integer code, set past its last
+  // enumerator under a valid CRC: the line must be skipped and its
+  // campaign re-run, never reported with a "?" name.
+  const auto campaigns = serve_campaigns();
+  const auto chaos = scenario::run_serve_isolated(campaigns[1]);
+  ASSERT_FALSE(chaos.channel_health.empty());
+  const std::string path = journal_path("enum_codes");
+  const std::string json = journal_json(chaos, path);
+  std::vector<scenario::ServeCampaignResult> direct;
+  for (const auto& c : campaigns) {
+    direct.push_back(scenario::run_serve_isolated(c));
+  }
+  const std::string expected = serve_report(direct);
+  const std::vector<std::string> crafted = {
+      with_value(with_value(json, "kind", "7"), "scheme", "9"),
+      with_value(json, "kind", "7"),
+      with_value(json, "kind", "256"),  // wraps to a valid code if unchecked
+      with_value(json, "scheme", "9"),
+      with_value(json, "recovery", "9"),
+      with_value(json, "channel_health", "9"),
+  };
+  for (std::size_t m = 0; m < crafted.size(); ++m) {
+    write_signed_line(path, crafted[m]);
+    CampaignJournal journal(path);
+    EXPECT_EQ(journal.crc_mismatches(), 0u) << m;
+    EXPECT_EQ(journal.loaded(), 0u) << m;
+    EXPECT_EQ(journal.find_serve(chaos.name), nullptr) << m;
+    EXPECT_EQ(serve_report(scenario::run_serve_journaled(campaigns, journal)),
+              expected)
+        << m;
+  }
   std::remove(path.c_str());
 }
 

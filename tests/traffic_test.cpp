@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
 #include "defense/dram_locker.hpp"
 #include "scenario/scenario.hpp"
 #include "traffic/engine.hpp"
@@ -325,6 +327,80 @@ TEST(TrafficEngine, LatencyQuantilesAreMonotone) {
   }
 }
 
+// -------------------------------------------------------- latency histogram
+
+using traffic::LatencyHistogram;
+
+/// Nearest-rank percentile of a sorted copy: the rule the histogram must
+/// reproduce without keeping the samples.
+Picoseconds sorted_vector_quantile(std::vector<Picoseconds> samples,
+                                   double q) {
+  if (samples.empty()) return 0;
+  std::sort(samples.begin(), samples.end());
+  const double rank = std::ceil(q * static_cast<double>(samples.size()));
+  const std::size_t idx = rank < 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
+  return samples[std::min(idx, samples.size() - 1)];
+}
+
+/// Seeded sample sets: all-equal, a single sample, duplicate-heavy (eight
+/// distinct values) and wide-range (any int64, nearly all distinct).
+std::vector<std::vector<Picoseconds>> histogram_sample_sets() {
+  Rng rng(2024);
+  std::vector<Picoseconds> duplicates(4000);
+  for (auto& v : duplicates) {
+    v = 1000 * static_cast<Picoseconds>(rng.next_below(8));
+  }
+  std::vector<Picoseconds> wide(3000);
+  for (auto& v : wide) v = static_cast<Picoseconds>(rng.next_u64());
+  return {std::vector<Picoseconds>(257, 1500), {42}, duplicates, wide};
+}
+
+TEST(LatencyHistogram, QuantilesMatchSortedVectorReference) {
+  for (const auto& samples : histogram_sample_sets()) {
+    const auto h = LatencyHistogram::fold(samples);
+    EXPECT_EQ(h.size(), samples.size());
+    EXPECT_FALSE(h.empty());
+    for (const double q : {0.0, 0.01, 0.5, 0.95, 0.99, 1.0}) {
+      EXPECT_EQ(h.quantile(q), sorted_vector_quantile(samples, q))
+          << samples.size() << " samples, q=" << q;
+    }
+  }
+  const LatencyHistogram empty;
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty.quantile(0.99), 0);
+}
+
+TEST(LatencyHistogram, MergingAnySplitEqualsFoldingTheConcatenation) {
+  Rng rng(7);
+  for (const auto& samples : histogram_sample_sets()) {
+    const auto whole = LatencyHistogram::fold(samples);
+    for (int trial = 0; trial < 8; ++trial) {
+      // Cut the samples into up to five contiguous parts (some may be
+      // empty), fold each, and merge the parts in a shuffled order.
+      std::vector<std::size_t> cuts = {0, samples.size()};
+      const auto parts = 1 + rng.next_below(5);
+      for (std::uint64_t p = 1; p < parts; ++p) {
+        cuts.push_back(static_cast<std::size_t>(
+            rng.next_below(samples.size() + 1)));
+      }
+      std::sort(cuts.begin(), cuts.end());
+      std::vector<LatencyHistogram> folded;
+      for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+        folded.push_back(LatencyHistogram::fold(
+            {samples.begin() + static_cast<std::ptrdiff_t>(cuts[c]),
+             samples.begin() + static_cast<std::ptrdiff_t>(cuts[c + 1])}));
+      }
+      LatencyHistogram merged;
+      for (const std::size_t i : rng.permutation(folded.size())) {
+        merged.merge(folded[i]);
+      }
+      EXPECT_EQ(merged, whole) << samples.size() << " samples, trial "
+                               << trial;
+      EXPECT_EQ(merged.size(), samples.size());
+    }
+  }
+}
+
 // ----------------------------------------------------- scenario integration
 
 scenario::HammerCampaign traffic_campaign(const char* name,
@@ -392,7 +468,7 @@ TEST(ScenarioTraffic, ResultsAreThreadCountInvariant) {
   const std::string a = scenario::report_json(serial).dump(2);
   const std::string b = scenario::report_json(threaded).dump(2);
   EXPECT_EQ(a, b);
-  // Latency sample streams (not just summaries) must match bit-for-bit.
+  // Latency histograms (not just the reported percentiles) must match.
   for (std::size_t i = 0; i < serial.size(); ++i) {
     ASSERT_EQ(serial[i].tenants.size(), threaded[i].tenants.size());
     for (std::size_t t = 0; t < serial[i].tenants.size(); ++t) {
