@@ -92,6 +92,41 @@ void BM_HammerActivation(benchmark::State& state) {
 }
 BENCHMARK(BM_HammerActivation);
 
+// The same ACTs with the RowHammer disturbance model listening: Half-Double
+// bursts on two victims in different banks (4 aggressors, each ACT adds to
+// up to 4 neighbours).  A 1 ms refresh window (~21k ACTs) keeps the window
+// reset on the timed path, and T_RH = 1000 lands flips inside each window.
+void BM_DisturbedHammer(benchmark::State& state) {
+  const dram::Geometry g = dram::Geometry::tiny();
+  dram::Timing timing = dram::ddr4_2400();
+  timing.tREFW = 1'000'000'000;
+  dram::Controller ctrl(g, timing);
+  rowhammer::DisturbanceConfig cfg;
+  cfg.t_rh = 1000;
+  cfg.distance2_weight = 0.25;
+  rowhammer::DisturbanceModel model(ctrl, cfg, Rng(3));
+  ctrl.add_listener(&model);
+  std::vector<dram::PhysAddr> aggressors;
+  for (const dram::GlobalRowId victim : {20u, 300u}) {
+    for (const dram::GlobalRowId row : rowhammer::aggressor_rows(
+             g, victim, rowhammer::HammerPattern::kHalfDouble)) {
+      aggressors.push_back(ctrl.mapper().row_base(row));
+    }
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ctrl.hammer(aggressors[next]));
+    if (++next == aggressors.size()) next = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["flips_per_mact"] = benchmark::Counter(
+      1e6 * static_cast<double>(model.total_flips()) /
+      static_cast<double>(state.iterations()));
+  state.counters["windows"] = benchmark::Counter(
+      static_cast<double>(ctrl.now() / timing.tREFW));
+}
+BENCHMARK(BM_DisturbedHammer);
+
 void BM_RowClone(benchmark::State& state) {
   dram::Controller ctrl(dram::Geometry::tiny(), dram::ddr4_2400());
   const Picoseconds before = ctrl.now();

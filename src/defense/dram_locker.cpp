@@ -84,18 +84,11 @@ bool DramLocker::is_reserved(GlobalRowId physical_row) const {
 }
 
 std::size_t DramLocker::protect_data_row(GlobalRowId logical_row) {
-  const auto& g = ctrl_.geometry();
-  const GlobalRowId phys = ctrl_.indirection().to_physical(logical_row);
-  const RowAddress a = from_global(g, phys);
+  const dl::dram::SubarrayRow a = dl::dram::split_row(
+      ctrl_.geometry(), ctrl_.indirection().to_physical(logical_row));
   std::size_t locked = 0;
-  for (std::int64_t off = -static_cast<std::int64_t>(config_.protect_radius);
-       off <= static_cast<std::int64_t>(config_.protect_radius); ++off) {
-    if (off == 0) continue;  // the data row itself stays accessible
-    const std::int64_t r = static_cast<std::int64_t>(a.row) + off;
-    if (r < 0 || r >= static_cast<std::int64_t>(g.rows_per_subarray)) continue;
-    RowAddress nb = a;
-    nb.row = static_cast<std::uint32_t>(r);
-    const GlobalRowId nb_row = to_global(g, nb);
+  // The data row itself stays accessible.
+  for (const GlobalRowId nb_row : a.neighbours(config_.protect_radius)) {
     // Neighbours inside the defense-reserved band cannot (and need not) be
     // locked: those rows never hold attacker-addressable data.
     if (is_reserved(nb_row)) continue;
@@ -124,17 +117,10 @@ bool DramLocker::lock_physical_row(GlobalRowId physical_row) {
 }
 
 void DramLocker::unprotect_data_row(GlobalRowId logical_row) {
-  const auto& g = ctrl_.geometry();
-  const GlobalRowId phys = ctrl_.indirection().to_physical(logical_row);
-  const RowAddress a = from_global(g, phys);
-  for (std::int64_t off = -static_cast<std::int64_t>(config_.protect_radius);
-       off <= static_cast<std::int64_t>(config_.protect_radius); ++off) {
-    if (off == 0) continue;
-    const std::int64_t r = static_cast<std::int64_t>(a.row) + off;
-    if (r < 0 || r >= static_cast<std::int64_t>(g.rows_per_subarray)) continue;
-    RowAddress nb = a;
-    nb.row = static_cast<std::uint32_t>(r);
-    table_.unlock(to_global(g, nb));
+  const dl::dram::SubarrayRow a = dl::dram::split_row(
+      ctrl_.geometry(), ctrl_.indirection().to_physical(logical_row));
+  for (const GlobalRowId nb_row : a.neighbours(config_.protect_radius)) {
+    table_.unlock(nb_row);
   }
 }
 

@@ -26,22 +26,16 @@ void Shadow::on_activate(GlobalRowId physical_row, Picoseconds) {
 }
 
 void Shadow::shuffle_victims(GlobalRowId aggressor_phys) {
-  const auto& g = ctrl_.geometry();
-  const RowAddress a = from_global(g, aggressor_phys);
+  const dl::dram::SubarrayRow a =
+      dl::dram::split_row(ctrl_.geometry(), aggressor_phys);
   in_mitigation_ = true;
   dl::dram::DefenseScope scope(ctrl_);
-  for (std::int64_t off = -static_cast<std::int64_t>(config_.victim_radius);
-       off <= static_cast<std::int64_t>(config_.victim_radius); ++off) {
-    if (off == 0) continue;
-    const std::int64_t r = static_cast<std::int64_t>(a.row) + off;
-    if (r < 0 || r >= static_cast<std::int64_t>(g.rows_per_subarray)) continue;
+  for (const GlobalRowId victim : a.neighbours(config_.victim_radius)) {
     if (entries_used_ >= config_.table_entries) {
       compromised_ = true;  // bookkeeping exhausted: mitigation stops
       break;
     }
-    RowAddress victim = a;
-    victim.row = static_cast<std::uint32_t>(r);
-    shuffle_one(to_global(g, victim));
+    shuffle_one(victim);
   }
   in_mitigation_ = false;
 }

@@ -6,25 +6,16 @@
 
 namespace dl::defense {
 
-using dl::dram::from_global;
 using dl::dram::GlobalRowId;
-using dl::dram::RowAddress;
-using dl::dram::to_global;
 
 std::uint32_t refresh_neighbors(dl::dram::Controller& ctrl,
                                 GlobalRowId aggressor, std::uint32_t radius) {
-  const auto& g = ctrl.geometry();
-  const RowAddress a = from_global(g, aggressor);
+  const dl::dram::SubarrayRow a =
+      dl::dram::split_row(ctrl.geometry(), aggressor);
   dl::dram::DefenseScope scope(ctrl);
   std::uint32_t issued = 0;
-  for (std::int64_t off = -static_cast<std::int64_t>(radius);
-       off <= static_cast<std::int64_t>(radius); ++off) {
-    if (off == 0) continue;
-    const std::int64_t r = static_cast<std::int64_t>(a.row) + off;
-    if (r < 0 || r >= static_cast<std::int64_t>(g.rows_per_subarray)) continue;
-    RowAddress victim = a;
-    victim.row = static_cast<std::uint32_t>(r);
-    ctrl.refresh_row(to_global(g, victim));
+  for (const GlobalRowId victim : a.neighbours(radius)) {
+    ctrl.refresh_row(victim);
     ++issued;
   }
   return issued;

@@ -63,6 +63,22 @@ RowAddress from_global(const Geometry& g, GlobalRowId id) {
   return a;
 }
 
+SubarrayRow split_row(const Geometry& g, GlobalRowId id) {
+  DL_REQUIRE(id < g.total_rows(), "global row id out of range");
+  return {id / g.rows_per_subarray,
+          static_cast<std::uint32_t>(id % g.rows_per_subarray),
+          g.rows_per_subarray};
+}
+
+std::vector<GlobalRowId> SubarrayRow::neighbours(std::uint32_t radius) const {
+  std::vector<GlobalRowId> rows;
+  const auto r = static_cast<std::int64_t>(radius);
+  for (std::int64_t d = -r; d <= r; ++d) {
+    if (const auto nb = offset(d); nb && d != 0) rows.push_back(*nb);
+  }
+  return rows;
+}
+
 bool same_subarray(const RowAddress& a, const RowAddress& b) {
   return a.channel == b.channel && a.rank == b.rank && a.bank == b.bank &&
          a.subarray == b.subarray;

@@ -12,7 +12,9 @@
 
 #include <compare>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -67,6 +69,36 @@ struct RowAddress {
 
 /// Converts a dense global row id back to a structured address.
 [[nodiscard]] RowAddress from_global(const Geometry& g, GlobalRowId id);
+
+/// A global row id split into its subarray and its row within it.  Global ids
+/// number the rows of one subarray consecutively, so the physical neighbour
+/// `d` rows away is `base() + row + d` while it stays inside the subarray.
+struct SubarrayRow {
+  std::uint64_t subarray = 0;  ///< dense index over every subarray
+  std::uint32_t row = 0;       ///< row index within the subarray
+  std::uint32_t rows_per_subarray = 0;
+
+  /// Global id of the subarray's row 0.
+  [[nodiscard]] GlobalRowId base() const {
+    return subarray * rows_per_subarray;
+  }
+
+  /// The row `d` rows away in the same subarray, or nullopt past its edge.
+  [[nodiscard]] std::optional<GlobalRowId> offset(std::int64_t d) const {
+    const std::int64_t r = static_cast<std::int64_t>(row) + d;
+    if (r < 0 || r >= static_cast<std::int64_t>(rows_per_subarray)) {
+      return std::nullopt;
+    }
+    return base() + static_cast<GlobalRowId>(r);
+  }
+
+  /// The rows within `radius` of this one in the same subarray, in ascending
+  /// order, without the row itself.
+  [[nodiscard]] std::vector<GlobalRowId> neighbours(std::uint32_t radius) const;
+};
+
+/// Splits a global row id; throws dl::Error when it is out of range.
+[[nodiscard]] SubarrayRow split_row(const Geometry& g, GlobalRowId id);
 
 /// True iff the two rows sit in the same subarray (hence can be physically
 /// adjacent and are RowClone-compatible).

@@ -6,7 +6,6 @@
 namespace dl::rowhammer {
 
 using dl::dram::GlobalRowId;
-using dl::dram::RowAddress;
 
 const char* to_string(HammerPattern p) {
   switch (p) {
@@ -25,7 +24,7 @@ HammerAttacker::HammerAttacker(dl::dram::Controller& ctrl,
 std::vector<GlobalRowId> aggressor_rows(const dl::dram::Geometry& g,
                                         GlobalRowId victim_logical,
                                         HammerPattern pattern) {
-  const RowAddress v = dl::dram::from_global(g, victim_logical);
+  const dl::dram::SubarrayRow v = dl::dram::split_row(g, victim_logical);
   std::vector<std::int64_t> offsets;
   switch (pattern) {
     case HammerPattern::kSingleSided: offsets = {+1}; break;
@@ -35,11 +34,7 @@ std::vector<GlobalRowId> aggressor_rows(const dl::dram::Geometry& g,
   }
   std::vector<GlobalRowId> rows;
   for (const std::int64_t off : offsets) {
-    const std::int64_t r = static_cast<std::int64_t>(v.row) + off;
-    if (r < 0 || r >= static_cast<std::int64_t>(g.rows_per_subarray)) continue;
-    RowAddress a = v;
-    a.row = static_cast<std::uint32_t>(r);
-    rows.push_back(dl::dram::to_global(g, a));
+    if (const auto row = v.offset(off)) rows.push_back(*row);
   }
   return rows;
 }
@@ -75,10 +70,15 @@ HammerResult HammerAttacker::attack(GlobalRowId victim_logical,
     }
   });
 
+  std::vector<dl::dram::PhysAddr> addrs;
+  addrs.reserve(aggressors.size());
+  for (const GlobalRowId a : aggressors) {
+    addrs.push_back(ctrl_.mapper().row_base(a));
+  }
+  std::size_t next = 0;
   for (std::uint64_t i = 0; i < act_budget; ++i) {
-    const GlobalRowId aggressor = aggressors[i % aggressors.size()];
-    const dl::dram::PhysAddr addr = ctrl_.mapper().row_base(aggressor);
-    const auto out = ctrl_.hammer(addr, /*can_unlock=*/false);
+    const auto out = ctrl_.hammer(addrs[next], /*can_unlock=*/false);
+    if (++next == addrs.size()) next = 0;
     if (out.granted) {
       ++res.granted_acts;
     } else {

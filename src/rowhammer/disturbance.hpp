@@ -7,13 +7,21 @@
 // threshold T_RH, bits flip in that row.  Refreshing a row (explicitly or by
 // the auto-refresh window) clears its accumulation.
 //
+// Accumulators live in one page of rows_per_subarray doubles per subarray
+// (neighbours never cross a subarray), allocated on the subarray's first
+// activation.  Each page carries the refresh window it was last written in:
+// a window boundary only bumps the model's window number, and a page from an
+// older window reads as zero and is cleared on its next activation.  Memory
+// is one 16-byte header per subarray plus one page per touched subarray.
+//
 // Blast radius follows the threat model of the paper: distance-1 victims
 // take full disturbance; distance-2 victims take a configurable fraction
 // (Half-Double-style coupling, Kogler et al. USENIX Sec'22).
 #pragma once
 
 #include <functional>
-#include <unordered_map>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -48,7 +56,8 @@ class DisturbanceModel final : public dl::dram::ActivationListener {
   void on_refresh_window(Picoseconds now) override;
   void on_row_refresh(dl::dram::GlobalRowId physical_row) override;
 
-  /// Accumulated disturbance of a row in the current window.
+  /// Accumulated disturbance of a row in the current window (0 for rows
+  /// outside the geometry).
   [[nodiscard]] double disturbance(dl::dram::GlobalRowId row) const;
 
   /// All faults injected so far.
@@ -77,13 +86,23 @@ class DisturbanceModel final : public dl::dram::ActivationListener {
   dl::dram::Controller& ctrl_;
   DisturbanceConfig config_;
   dl::Rng rng_;
-  std::unordered_map<dl::dram::GlobalRowId, double> accum_;
   std::vector<FlipEvent> flips_;
   std::uint64_t total_flips_ = 0;
   std::function<void(const FlipEvent&)> callback_;
 
-  void add_disturbance(dl::dram::GlobalRowId victim, double amount,
-                       Picoseconds now);
+  /// One subarray's accumulators, valid while `window` equals window_.
+  struct Page {
+    static constexpr std::uint64_t kNever =
+        std::numeric_limits<std::uint64_t>::max();
+    std::unique_ptr<double[]> rows;  ///< null until first activated
+    std::uint64_t window = kNever;
+  };
+  std::vector<Page> pages_;   ///< indexed by SubarrayRow::subarray
+  std::uint64_t window_ = 0;  ///< refresh windows elapsed
+
+  /// `row`'s accumulator when its page belongs to the current window, else
+  /// null (untouched, stale or out-of-range rows all read as 0).
+  [[nodiscard]] double* live_accumulator(dl::dram::GlobalRowId row) const;
   void inject_flips(dl::dram::GlobalRowId victim, Picoseconds now);
 };
 

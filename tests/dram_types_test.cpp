@@ -1,6 +1,11 @@
 // Tests for DRAM geometry, addressing and timing presets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <vector>
+
 #include "dram/timing.hpp"
 #include "dram/types.hpp"
 
@@ -34,6 +39,38 @@ TEST_P(GlobalRowRoundTrip, BijectionOverSampledRows) {
   }
   // Edge rows.
   EXPECT_EQ(to_global(g, from_global(g, total - 1)), total - 1);
+}
+
+TEST_P(GlobalRowRoundTrip, SplitRowNeighboursMatchRowAddressNeighbours) {
+  const Geometry g = GetParam();
+  const std::uint64_t total = g.total_rows();
+  const std::uint64_t step = std::max<std::uint64_t>(1, total / 997);
+  std::vector<GlobalRowId> ids = {0, g.rows_per_subarray - 1,
+                                  g.rows_per_subarray, total - 1};
+  for (GlobalRowId id = 0; id < total; id += step) ids.push_back(id);
+  for (const GlobalRowId id : ids) {
+    const RowAddress a = from_global(g, id);
+    const SubarrayRow s = split_row(g, id);
+    ASSERT_EQ(s.row, a.row);
+    ASSERT_EQ(s.base() + s.row, id);
+    std::vector<GlobalRowId> within3;  // what neighbours(3) must list
+    for (std::int64_t d = -3; d <= 3; ++d) {
+      const std::int64_t r = static_cast<std::int64_t>(a.row) + d;
+      const std::optional<GlobalRowId> nb = s.offset(d);
+      if (r < 0 || r >= static_cast<std::int64_t>(g.rows_per_subarray)) {
+        EXPECT_FALSE(nb.has_value()) << id << " " << d;
+        continue;
+      }
+      RowAddress b = a;
+      b.row = static_cast<std::uint32_t>(r);
+      ASSERT_TRUE(nb.has_value()) << id << " " << d;
+      EXPECT_EQ(*nb, to_global(g, b)) << id << " " << d;
+      if (d != 0) within3.push_back(*nb);
+    }
+    EXPECT_EQ(s.neighbours(3), within3) << id;
+    EXPECT_TRUE(s.neighbours(0).empty()) << id;
+  }
+  EXPECT_THROW(static_cast<void>(split_row(g, total)), dl::Error);
 }
 
 INSTANTIATE_TEST_SUITE_P(Geometries, GlobalRowRoundTrip,

@@ -6,9 +6,10 @@
 //
 // The set covers a burst campaign with pre/post traffic and degraded locks,
 // a traffic + integrity campaign, faults with row retirement draining the
-// spare pool, a timed campaign, 2- and 4-channel fabrics, a 4-channel serve
-// campaign, a chaos kill, a chaos storm and a serve campaign that sheds
-// load on a p99 SLO.  BFA campaigns are left out
+// spare pool, a timed campaign, 2- and 4-channel fabrics, a burst that
+// crosses refresh windows, a 4-channel serve campaign, a chaos kill, a chaos
+// storm and a serve campaign that sheds load on a p99 SLO.  BFA campaigns
+// are left out
 // (their accuracy curves depend on the compiler's floating-point code
 // generation), and so are failed campaigns (an error string is not a
 // simulated result).
@@ -160,6 +161,22 @@ HammerCampaign fabric4() {
   return c;
 }
 
+// Half-Double past a distance-1 tracker with a 200 us refresh window: the
+// two 20000-ACT bursts span about six windows (the others stay inside the
+// first), so the accumulators reset mid-attack; 6 victim flips land.
+HammerCampaign refresh_windows() {
+  HammerCampaign c;
+  c.name = "refresh-windows";
+  c.env = env();
+  c.env.timing.tREFW = 200'000'000;
+  c.defense = DefenseSpec::counter_per_row(500, /*radius=*/1);
+  c.attack.pattern = HammerPattern::kHalfDouble;
+  c.attack.victim_row = 20;
+  c.attack.act_budget = 20000;
+  c.cycles = 2;
+  return c;
+}
+
 ServeCampaign serve4() {
   ServeCampaign c;
   c.name = "serve4";
@@ -259,6 +276,7 @@ TEST(GoldenReports, HammerCampaignDigests) {
       {timed(), 0x8c409125u},
       {fabric2(), 0x1ca5f547u},
       {fabric4(), 0x7c4d3ccau},
+      {refresh_windows(), 0x5baa9690u},
   };
   for (const auto& g : golden) {
     const auto r = scenario::run_one(g.campaign);

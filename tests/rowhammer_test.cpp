@@ -1,8 +1,12 @@
 // Tests for the disturbance model and attacker patterns.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "dram/controller.hpp"
 #include "rowhammer/attacker.hpp"
@@ -220,6 +224,184 @@ TEST_F(RowhammerTest, FlipCallbackClearedWhenAttackThrows) {
   // exchange returns the installed callback: it must be empty again.
   const auto leftover = model.exchange_flip_callback(nullptr);
   EXPECT_FALSE(static_cast<bool>(leftover));
+}
+
+// ------------------------------------------- dense vs map accumulators
+
+/// The hash-map accumulator the dense per-subarray pages replaced, kept as
+/// the reference: one map entry per disturbed row, a RowAddress round trip
+/// per neighbour, and a refresh window that clears the whole map.
+class MapDisturbance final : public ActivationListener {
+ public:
+  MapDisturbance(Controller& ctrl, DisturbanceConfig config, dl::Rng rng)
+      : ctrl_(ctrl), config_(config), rng_(rng) {}
+
+  void on_activate(GlobalRowId physical_row, dl::Picoseconds now) override {
+    const Geometry& g = ctrl_.geometry();
+    const RowAddress a = from_global(g, physical_row);
+    const std::pair<std::int64_t, double> neighbours[] = {
+        {-1, 1.0}, {+1, 1.0},
+        {-2, config_.distance2_weight}, {+2, config_.distance2_weight}};
+    for (const auto& [offset, weight] : neighbours) {
+      if (weight <= 0.0) continue;
+      const std::int64_t r = static_cast<std::int64_t>(a.row) + offset;
+      if (r < 0 || r >= static_cast<std::int64_t>(g.rows_per_subarray)) {
+        continue;
+      }
+      RowAddress victim = a;
+      victim.row = static_cast<std::uint32_t>(r);
+      const GlobalRowId id = to_global(g, victim);
+      double& acc = accum_[id];
+      acc += weight;
+      if (acc >= static_cast<double>(config_.t_rh)) {
+        inject_flips(id, now);
+        acc = 0.0;
+      }
+    }
+  }
+  void on_refresh_window(dl::Picoseconds) override { accum_.clear(); }
+  void on_row_refresh(GlobalRowId row) override { accum_.erase(row); }
+
+  [[nodiscard]] double disturbance(GlobalRowId row) const {
+    const auto it = accum_.find(row);
+    return it == accum_.end() ? 0.0 : it->second;
+  }
+  [[nodiscard]] const std::vector<FlipEvent>& flips() const { return flips_; }
+
+ private:
+  void inject_flips(GlobalRowId victim, dl::Picoseconds now) {
+    for (unsigned i = 0; i < config_.max_flips_per_event; ++i) {
+      FlipEvent ev{.victim_row = victim, .at = now};
+      if (!config_.deterministic_bits) {
+        ev.byte = static_cast<std::uint32_t>(
+            rng_.next_below(ctrl_.geometry().row_bytes));
+        ev.bit = static_cast<unsigned>(rng_.next_below(8));
+      }
+      ctrl_.data().flip_bit(victim, ev.byte, ev.bit);
+      flips_.push_back(ev);
+    }
+  }
+
+  Controller& ctrl_;
+  DisturbanceConfig config_;
+  dl::Rng rng_;
+  std::unordered_map<GlobalRowId, double> accum_;
+  std::vector<FlipEvent> flips_;
+};
+
+testing::AssertionResult SameDisturbance(const Geometry& g,
+                                         const DisturbanceModel& dense,
+                                         const MapDisturbance& map) {
+  // One row past the end too: out-of-range rows read as 0 in both.
+  for (GlobalRowId row = 0; row <= g.total_rows(); ++row) {
+    if (dense.disturbance(row) != map.disturbance(row)) {
+      return testing::AssertionFailure()
+             << "row " << row << ": dense " << dense.disturbance(row)
+             << ", map " << map.disturbance(row);
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
+testing::AssertionResult SameFlips(const std::vector<FlipEvent>& dense,
+                                   const std::vector<FlipEvent>& map) {
+  if (dense.size() != map.size()) {
+    return testing::AssertionFailure()
+           << dense.size() << " dense flips, " << map.size() << " map flips";
+  }
+  for (std::size_t i = 0; i < dense.size(); ++i) {
+    const FlipEvent& a = dense[i];
+    const FlipEvent& b = map[i];
+    if (a.victim_row != b.victim_row || a.byte != b.byte || a.bit != b.bit ||
+        a.at != b.at) {
+      return testing::AssertionFailure()
+             << "flip " << i << ": dense row " << a.victim_row << " byte "
+             << a.byte << " bit " << a.bit << " at " << a.at << ", map row "
+             << b.victim_row << " byte " << b.byte << " bit " << b.bit
+             << " at " << b.at;
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
+// Each model sits on its own controller and both take one seeded stream:
+// ACTs mostly on three hot subarrays (the first, a middle and the last) and
+// half of them on the edge rows 0, 1, rps-2 and rps-1, targeted
+// refresh_row()s, and forced refresh-window boundaries.
+TEST(DisturbanceOracle, DenseMatchesMapAccumulator) {
+  const Geometry odd{.channels = 1, .ranks = 2, .banks = 3,
+                     .subarrays_per_bank = 5, .rows_per_subarray = 37,
+                     .row_bytes = 64};
+  for (const Geometry& g : {Geometry::tiny(), odd}) {
+    for (const double d2 : {0.0, 0.25, 1.0}) {
+      SCOPED_TRACE(testing::Message() << "rows_per_subarray "
+                                      << g.rows_per_subarray << ", d2 " << d2);
+      DisturbanceConfig cfg;
+      cfg.t_rh = 32;
+      cfg.distance2_weight = d2;
+      cfg.max_flips_per_event = 2;
+      cfg.deterministic_bits = false;
+      Controller dense_ctrl(g, ddr4_2400());
+      Controller map_ctrl(g, ddr4_2400());
+      DisturbanceModel dense(dense_ctrl, cfg, dl::Rng(11));
+      MapDisturbance map(map_ctrl, cfg, dl::Rng(11));
+      dense_ctrl.add_listener(&dense);
+      map_ctrl.add_listener(&map);
+
+      const std::uint32_t rps = g.rows_per_subarray;
+      const std::uint64_t subarrays = g.total_rows() / rps;
+      const std::uint64_t hot[] = {0, subarrays / 2, subarrays - 1};
+      const std::uint32_t edges[] = {0, 1, rps - 2, rps - 1};
+      dl::Rng stream(29);
+      const auto pick_row = [&] {
+        const std::uint64_t s = stream.next_below(4) == 0
+                                    ? stream.next_below(subarrays)
+                                    : hot[stream.next_below(3)];
+        const std::uint32_t r = stream.next_below(2) == 0
+                                    ? edges[stream.next_below(4)]
+                                    : static_cast<std::uint32_t>(
+                                          stream.next_below(rps));
+        return s * rps + r;
+      };
+      int windows = 0;
+      for (int op = 0; op < 30000; ++op) {
+        const std::uint64_t kind = stream.next_below(1000);
+        if (kind < 1) {
+          ASSERT_TRUE(SameDisturbance(g, dense, map)) << "window " << windows;
+          dense_ctrl.advance_time(dense_ctrl.timing().tREFW);
+          map_ctrl.advance_time(map_ctrl.timing().tREFW);
+          ++windows;
+        } else if (kind < 40) {
+          const GlobalRowId row = pick_row();
+          dense_ctrl.refresh_row(row);
+          map_ctrl.refresh_row(row);
+        } else {
+          const GlobalRowId row = pick_row();
+          dense_ctrl.hammer(dense_ctrl.mapper().row_base(row));
+          map_ctrl.hammer(map_ctrl.mapper().row_base(row));
+        }
+      }
+      ASSERT_TRUE(SameDisturbance(g, dense, map));
+      EXPECT_GE(windows, 10);
+      ASSERT_GT(map.flips().size(), 100u);  // the stream is not vacuous
+      EXPECT_TRUE(SameFlips(dense.flips(), map.flips()));
+      EXPECT_EQ(dense.total_flips(), map.flips().size());
+      int edge_flips = 0;
+      for (const FlipEvent& f : map.flips()) {
+        const std::uint64_t r = f.victim_row % rps;
+        edge_flips += r == 0 || r == rps - 1;
+      }
+      EXPECT_GT(edge_flips, 0);
+    }
+  }
+}
+
+TEST(DisturbanceOracle, RejectsSubarraysWithoutRows) {
+  Geometry g = Geometry::tiny();
+  g.rows_per_subarray = 0;
+  Controller ctrl(g, ddr4_2400());
+  EXPECT_THROW(DisturbanceModel(ctrl, DisturbanceConfig{}, dl::Rng(1)),
+               dl::Error);
 }
 
 }  // namespace
