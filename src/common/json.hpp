@@ -6,8 +6,8 @@
 // order so reports diff cleanly across runs.  parse() is the inverse — a
 // strict recursive-descent reader used by the campaign checkpoint journal
 // (src/scenario/journal.hpp) to restore completed results on resume; it
-// throws dl::Error on malformed input (the journal uses that to skip a
-// torn tail line after a mid-write kill).
+// throws dl::Error on malformed input, nesting past 128 levels included
+// (the journal uses that to skip a torn or hostile line).
 #pragma once
 
 #include <cstdint>
@@ -72,7 +72,8 @@ class Value {
   // Strict parser + typed accessors; every accessor throws dl::Error on a
   // type mismatch, so journal decoding fails loudly instead of zero-filling.
 
-  /// Parses one JSON document (trailing whitespace allowed, nothing else).
+  /// Parses one JSON document (trailing whitespace allowed, nothing else)
+  /// nested at most 128 levels deep.
   /// Numbers parse as int64 (leading '-') / uint64 unless they carry a
   /// fraction or exponent, which parse as double — matching what dump()
   /// emits for the integer-typed Value alternatives.

@@ -77,48 +77,4 @@ std::string Histogram::to_string(std::size_t width) const {
   return os.str();
 }
 
-std::size_t StatSet::index_of(const std::string& name) const {
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].first == name) return i;
-  }
-  return entries_.size();
-}
-
-void StatSet::add(const std::string& name, double delta) {
-  const std::size_t i = index_of(name);
-  if (i == entries_.size()) {
-    entries_.emplace_back(name, delta);
-  } else {
-    entries_[i].second += delta;
-  }
-}
-
-void StatSet::set(const std::string& name, double value) {
-  const std::size_t i = index_of(name);
-  if (i == entries_.size()) {
-    entries_.emplace_back(name, value);
-  } else {
-    entries_[i].second = value;
-  }
-}
-
-double StatSet::get(const std::string& name) const {
-  const std::size_t i = index_of(name);
-  return i == entries_.size() ? 0.0 : entries_[i].second;
-}
-
-bool StatSet::has(const std::string& name) const {
-  return index_of(name) != entries_.size();
-}
-
-std::string StatSet::to_string() const {
-  std::ostringstream os;
-  for (const auto& [name, value] : entries_) {
-    os << name << " = " << value << "\n";
-  }
-  return os.str();
-}
-
-void StatSet::clear() { entries_.clear(); }
-
 }  // namespace dl

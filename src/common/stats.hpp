@@ -57,29 +57,4 @@ class Histogram {
   std::size_t overflow_ = 0;
 };
 
-/// Counter map with stable insertion order, for named simulator statistics.
-class StatSet {
- public:
-  /// Adds `delta` to the named counter, creating it at zero if absent.
-  void add(const std::string& name, double delta = 1.0);
-
-  /// Sets the named counter to an absolute value.
-  void set(const std::string& name, double value);
-
-  [[nodiscard]] double get(const std::string& name) const;  ///< 0 if absent
-  [[nodiscard]] bool has(const std::string& name) const;
-
-  [[nodiscard]] const std::vector<std::pair<std::string, double>>& entries()
-      const {
-    return entries_;
-  }
-
-  [[nodiscard]] std::string to_string() const;
-  void clear();
-
- private:
-  std::vector<std::pair<std::string, double>> entries_;
-  [[nodiscard]] std::size_t index_of(const std::string& name) const;
-};
-
 }  // namespace dl

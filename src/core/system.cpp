@@ -60,14 +60,10 @@ void validate(const SystemConfig& config) {
 
 dl::dram::CounterBlock FabricView::counter_totals() const {
   dl::dram::CounterBlock total;
-  // Channel order x per-channel first-touch order keeps the aggregate's
-  // export ordering deterministic and, at one channel, identical to the
-  // channel's own block.
   for (const auto& ch : *chs_) {
-    const auto& block = ch->ctrl->counters();
-    for (std::size_t i = 0; i < block.touched_count(); ++i) {
-      const auto c = block.touched_at(i);
-      total.add(c, block.value(c));
+    for (std::size_t i = 0; i < dl::dram::kNumCounters; ++i) {
+      const auto c = static_cast<dl::dram::Counter>(i);
+      total.add(c, ch->ctrl->counters().value(c));
     }
   }
   return total;
@@ -79,33 +75,6 @@ std::uint32_t FabricView::healthy_channels() const {
     if (ch->health != dl::resilience::ChannelHealth::kOffline) ++n;
   }
   return n;
-}
-
-dl::json::Value to_json(const FabricReport& report) {
-  const auto report_body = [](const dl::traffic::TrafficReport& r) {
-    dl::json::Value v = dl::json::Value::object();
-    v["serviced"] = r.serviced;
-    v["elapsed_ps"] = r.elapsed;
-    dl::json::Value tenants = dl::json::Value::array();
-    for (const auto& t : r.tenants) {
-      tenants.push_back(dl::traffic::to_json(t, r.elapsed));
-    }
-    v["tenants"] = std::move(tenants);
-    return v;
-  };
-  dl::json::Value v = report_body(report.merged);
-  dl::json::Value channels = dl::json::Value::array();
-  for (std::size_t c = 0; c < report.channels.size(); ++c) {
-    dl::json::Value cv = dl::json::Value::object();
-    cv["channel"] = c;
-    dl::json::Value body = report_body(report.channels[c]);
-    cv["serviced"] = std::move(body["serviced"]);
-    cv["elapsed_ps"] = std::move(body["elapsed_ps"]);
-    cv["tenants"] = std::move(body["tenants"]);
-    channels.push_back(std::move(cv));
-  }
-  v["channels"] = std::move(channels);
-  return v;
 }
 
 Fabric::Fabric(SystemConfig config)

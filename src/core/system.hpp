@@ -129,7 +129,6 @@ class ChannelView {
   [[nodiscard]] const dl::dram::CounterBlock& counters() const {
     return ch_->ctrl->counters();
   }
-  [[nodiscard]] const StatSet& stats() const { return ch_->ctrl->stats(); }
   [[nodiscard]] Picoseconds now() const { return ch_->ctrl->now(); }
   [[nodiscard]] Picoseconds defense_time() const {
     return ch_->ctrl->defense_time();
@@ -196,12 +195,6 @@ struct FabricReport {
   std::vector<dl::traffic::TrafficReport> channels;
   dl::traffic::TrafficReport merged;
 };
-
-/// {"serviced", "elapsed_ps", "tenants": [...], "channels": [{"channel",
-/// "serviced", "elapsed_ps", "tenants": [...]}, ...]} — the per-tenant
-/// blocks carry the SLO fields (queue-latency p50/p95/p99, acts_per_sec,
-/// rejected_enqueues); see docs/SCENARIO_SCHEMA.md.
-[[nodiscard]] dl::json::Value to_json(const FabricReport& report);
 
 class Fabric {
  public:

@@ -21,6 +21,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/fields.hpp"
 #include "common/rng.hpp"
 #include "defense/lock_table.hpp"
 #include "defense/sequencer.hpp"
@@ -113,6 +114,20 @@ class DramLocker final : public dl::dram::AccessGate {
     std::uint64_t degraded_locks = 0;       ///< rows demoted: table full
     std::uint64_t degraded_swaps = 0;       ///< accesses allowed: no swap left
     std::uint64_t fallback_refreshes = 0;   ///< refresh rounds the fallback ran
+
+    template <typename F>
+    static void fields(F&& f) {
+      f({"rw_instructions"}, &Stats::rw_instructions);
+      f({"denied"}, &Stats::denied);
+      f({"unlock_swaps"}, &Stats::unlock_swaps);
+      f({"relocks"}, &Stats::relocks);
+      f({"swap_copy_errors"}, &Stats::swap_copy_errors);
+      f({"pool_exhausted_denials"}, &Stats::pool_exhausted_denials);
+      f({"swap_budget_denials"}, &Stats::swap_budget_denials);
+      f({"degraded_locks"}, &Stats::degraded_locks);
+      f({"degraded_swaps"}, &Stats::degraded_swaps);
+      f({"fallback_refreshes"}, &Stats::fallback_refreshes);
+    }
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 

@@ -16,6 +16,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/fields.hpp"
 #include "common/rng.hpp"
 #include "dram/controller.hpp"
 
@@ -33,6 +34,13 @@ struct TrackerStats {
   std::uint64_t observed_acts = 0;
   std::uint64_t mitigations = 0;      ///< aggressors neutralized
   std::uint64_t victim_refreshes = 0; ///< refresh commands issued
+
+  template <typename F>
+  static void fields(F&& f) {
+    f({"observed_acts"}, &TrackerStats::observed_acts);
+    f({"mitigations"}, &TrackerStats::mitigations);
+    f({"victim_refreshes"}, &TrackerStats::victim_refreshes);
+  }
 };
 
 /// Probabilistic Target-Row-Refresh: each activation is sampled with

@@ -15,7 +15,6 @@
 #include <span>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/units.hpp"
 #include "dram/address_map.hpp"
 #include "dram/command.hpp"
@@ -180,19 +179,6 @@ class Controller {
   /// classes here.
   [[nodiscard]] CounterBlock& counters() { return counters_; }
   [[nodiscard]] const CounterBlock& counters() const { return counters_; }
-
-  /// Legacy string-keyed view of counters(): the CounterBlock is exported
-  /// into the StatSet at call time (first-touch order, legacy key names),
-  /// so existing consumers see identical names, values, and ordering.
-  /// Keys added to the returned set by external code are preserved.
-  [[nodiscard]] StatSet& stats() {
-    counters_.export_to(stats_);
-    return stats_;
-  }
-  [[nodiscard]] const StatSet& stats() const {
-    counters_.export_to(stats_);
-    return stats_;
-  }
   [[nodiscard]] CommandTrace& trace() { return trace_; }
 
   /// Total time consumed by defense-scoped operations.
@@ -223,7 +209,6 @@ class Controller {
   Picoseconds defense_time_ = 0;
 
   CounterBlock counters_;
-  mutable StatSet stats_;  ///< export target of counters_; see stats()
   CommandTrace trace_;
   std::unique_ptr<TimingModel> timing_model_;  ///< null = analytic latencies
 

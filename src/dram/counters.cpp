@@ -33,17 +33,4 @@ const char* to_string(Counter c) {
   return "?";
 }
 
-void CounterBlock::export_to(StatSet& out) const {
-  for (std::size_t i = 0; i < touched_count_; ++i) {
-    const auto c = static_cast<Counter>(order_[i]);
-    out.set(to_string(c), value(c));
-  }
-}
-
-void CounterBlock::reset() {
-  values_.fill(0.0);
-  touched_.fill(false);
-  touched_count_ = 0;
-}
-
 }  // namespace dl::dram

@@ -1,17 +1,9 @@
 // Typed hot-path counters for the DRAM controller.
 //
-// The controller bumps 3–6 counters per access; doing that through the
-// string-keyed StatSet (linear name lookup per add) dominated the access
-// hot path.  CounterBlock replaces it with enum-indexed increments into a
-// plain array — one add and one first-touch check per bump — and exports
-// into a StatSet on demand so every consumer of the legacy string keys
-// (reports, campaign harvesting, tests) sees identical names, values, and
-// insertion order.
-//
-// Ordering contract: export_to() emits counters in *first-touch order*,
-// which is exactly the insertion order the legacy per-call StatSet::add
-// produced.  Counters that never fired are not exported, matching the
-// legacy "key exists only once it first fired" behaviour.
+// The controller bumps 3–6 counters per access; doing that through a
+// string-keyed map (linear name lookup per add) dominated the access hot
+// path.  CounterBlock is an enum-indexed array instead: one add per bump.
+// to_string() names each counter for docs and tools.
 //
 // Defense and integrity mechanisms account the controller-level operation
 // classes they originate (SWAP µprograms, channel swaps, scrub-chunk
@@ -23,12 +15,10 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "common/stats.hpp"
-
 namespace dl::dram {
 
 enum class Counter : std::uint8_t {
-  // Controller-internal (legacy StatSet keys).
+  // Controller-internal.
   kRowHits,
   kRowMisses,
   kActivates,
@@ -41,7 +31,7 @@ enum class Counter : std::uint8_t {
   kRowCloneCorruptions,
   kTargetedRefreshes,
   kAutoRefreshTimePs,
-  // Defense/integrity-originated operation classes (new typed keys).
+  // Defense/integrity-originated operation classes.
   kSequencerPrograms,   ///< completed µprogram runs (defense::Sequencer)
   kChannelSwaps,        ///< RRS/SRS channel row swaps (defense::RowSwap)
   kScrubChunkVerifies,  ///< checksum-group verifications (integrity scrubber)
@@ -61,52 +51,25 @@ enum class Counter : std::uint8_t {
 
 inline constexpr std::size_t kNumCounters =
     static_cast<std::size_t>(Counter::kFailedWrites) + 1;
-static_assert(kNumCounters <= 256, "order_ stores uint8_t indices");
 
-/// StatSet key the counter exports under (the legacy string name).
+/// The counter's name, as the ARCHITECTURE.md counter table lists it.
 [[nodiscard]] const char* to_string(Counter c);
 
 class CounterBlock {
  public:
   /// Adds `delta` to the counter; O(1), no allocation.
   void add(Counter c, double delta = 1.0) {
-    const auto i = static_cast<std::size_t>(c);
-    values_[i] += delta;
-    if (!touched_[i]) {
-      touched_[i] = true;
-      order_[touched_count_++] = static_cast<std::uint8_t>(i);
-    }
+    values_[static_cast<std::size_t>(c)] += delta;
   }
 
   [[nodiscard]] double value(Counter c) const {
     return values_[static_cast<std::size_t>(c)];
   }
 
-  /// True once the counter has been bumped at least once (even by 0.0).
-  [[nodiscard]] bool touched(Counter c) const {
-    return touched_[static_cast<std::size_t>(c)];
-  }
-
-  /// Number of counters that have fired, in first-touch order.
-  [[nodiscard]] std::size_t touched_count() const { return touched_count_; }
-
-  /// The i-th counter to have first fired (i < touched_count()).
-  [[nodiscard]] Counter touched_at(std::size_t i) const {
-    return static_cast<Counter>(order_[i]);
-  }
-
-  /// Writes every touched counter into `out` under its legacy string key,
-  /// in first-touch order.  Uses StatSet::set, so repeated exports are
-  /// idempotent and keys added to `out` by other code are preserved.
-  void export_to(StatSet& out) const;
-
-  void reset();
+  void reset() { values_.fill(0.0); }
 
  private:
   std::array<double, kNumCounters> values_{};
-  std::array<bool, kNumCounters> touched_{};
-  std::array<std::uint8_t, kNumCounters> order_{};
-  std::size_t touched_count_ = 0;
 };
 
 }  // namespace dl::dram

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fields.hpp"
 #include "common/units.hpp"
 #include "dram/command.hpp"
 #include "dram/timing.hpp"
@@ -48,6 +49,13 @@ struct RefreshStats {
   std::uint64_t refs_issued = 0;
   Picoseconds ref_busy_ps = 0;      ///< total channel time spent in REF
   Picoseconds max_ref_slip_ps = 0;  ///< worst REF start delay past its slot
+
+  template <typename F>
+  static void fields(F&& f) {
+    f({"refs_issued"}, &RefreshStats::refs_issued);
+    f({"ref_busy_ps"}, &RefreshStats::ref_busy_ps);
+    f({"max_ref_slip_ps", nullptr, Merge::kMax}, &RefreshStats::max_ref_slip_ps);
+  }
 };
 
 class TimingModel {

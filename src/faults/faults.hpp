@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fields.hpp"
 #include "common/rng.hpp"
 #include "dram/controller.hpp"
 
@@ -94,6 +95,18 @@ struct FaultStats {
   std::uint64_t lock_evictions = 0;    ///< lock-table entries dropped
   std::uint64_t remap_faults = 0;      ///< spurious indirection swaps
   std::uint64_t checksum_faults = 0;   ///< checksum storage bits flipped
+
+  template <typename F>
+  static void fields(F&& f) {
+    f({"events"}, &FaultStats::events);
+    f({"retention_faults"}, &FaultStats::retention_faults);
+    f({"transient_faults"}, &FaultStats::transient_faults);
+    f({"stuck_cells"}, &FaultStats::stuck_cells);
+    f({"stuck_overrides"}, &FaultStats::stuck_overrides);
+    f({"lock_evictions"}, &FaultStats::lock_evictions);
+    f({"remap_faults"}, &FaultStats::remap_faults);
+    f({"checksum_faults"}, &FaultStats::checksum_faults);
+  }
 };
 
 class FaultInjector final : public dl::dram::ActivationListener {

@@ -35,6 +35,8 @@
 #include <span>
 #include <vector>
 
+#include "common/fields.hpp"
+
 namespace dl::integrity {
 
 enum class Scheme : std::uint8_t { kParity2D, kAdditive };
@@ -67,6 +69,12 @@ struct Config {
 struct Audit {
   std::uint64_t corrupt_bytes = 0;
   std::uint64_t missed_bytes = 0;
+
+  template <typename F>
+  static void fields(F&& f) {
+    f({"corrupt_bytes", "residual_corrupt_bytes"}, &Audit::corrupt_bytes);
+    f({"missed_bytes", "missed_corrupt_bytes"}, &Audit::missed_bytes);
+  }
 };
 
 /// Share of the corruption that ever reached the guarded data which the

@@ -66,6 +66,26 @@ struct ScrubStats {
   /// from `uncorrectable` (recovery not attempted by policy).
   std::uint64_t unrecoverable_faults = 0;
   Picoseconds first_detection_at = 0;   ///< controller clock; 0 = none yet
+
+  /// Report order: sweep accounting, then the outcome counters it shares
+  /// with the weight-space Stats.
+  template <typename F>
+  static void fields(F&& f) {
+    f({"passes"}, &ScrubStats::passes);
+    f({"scrub_reads"}, &ScrubStats::scrub_reads);
+    f({"scrub_read_bytes"}, &ScrubStats::scrub_read_bytes);
+    f({"denied_accesses"}, &ScrubStats::denied_accesses);
+    f({"unrecoverable_faults"}, &ScrubStats::unrecoverable_faults);
+    f({"correction_writes"}, &ScrubStats::correction_writes);
+    f({"first_detection_at", "first_detection_ps", Merge::kMinNonzero}, &ScrubStats::first_detection_at);
+    f({"verified_groups"}, &ScrubStats::verified_groups);
+    f({"detections"}, &ScrubStats::detections);
+    f({"corrected_bits"}, &ScrubStats::corrected_bits);
+    f({"zeroed_groups"}, &ScrubStats::zeroed_groups);
+    f({"zeroed_corrupt_bytes"}, &ScrubStats::zeroed_corrupt_bytes);
+    f({"checksum_repairs"}, &ScrubStats::checksum_repairs);
+    f({"uncorrectable"}, &ScrubStats::uncorrectable);
+  }
 };
 
 class DramScrubber {

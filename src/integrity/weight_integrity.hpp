@@ -48,6 +48,17 @@ struct Stats {
   std::uint64_t zeroed_corrupt_bytes = 0;
   std::uint64_t checksum_repairs = 0;  ///< corrupted checksums rebuilt
   std::uint64_t uncorrectable = 0;     ///< detected but left in place
+
+  template <typename F>
+  static void fields(F&& f) {
+    f({"verified_groups"}, &Stats::verified_groups);
+    f({"detections"}, &Stats::detections);
+    f({"corrected_bits"}, &Stats::corrected_bits);
+    f({"zeroed_groups"}, &Stats::zeroed_groups);
+    f({"zeroed_corrupt_bytes"}, &Stats::zeroed_corrupt_bytes);
+    f({"checksum_repairs"}, &Stats::checksum_repairs);
+    f({"uncorrectable"}, &Stats::uncorrectable);
+  }
 };
 
 class WeightIntegrity {

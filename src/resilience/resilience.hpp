@@ -34,6 +34,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/fields.hpp"
 #include "common/units.hpp"
 #include "dram/controller.hpp"
 #include "dram/types.hpp"
@@ -75,6 +76,17 @@ struct ResilienceStats {
   std::uint64_t remap_reads = 0;        ///< activations landing in the slab
   std::uint64_t rematerialized_bytes = 0;  ///< snapshot bytes re-written
   std::uint64_t retires_denied = 0;     ///< retirements refused (slab dry)
+
+  template <typename F>
+  static void fields(F&& f) {
+    f({"strikes"}, &ResilienceStats::strikes);
+    f({"retired_rows"}, &ResilienceStats::retired_rows);
+    f({"spares_total"}, &ResilienceStats::spares_total);
+    f({"spares_remaining"}, &ResilienceStats::spares_remaining);
+    f({"remap_reads"}, &ResilienceStats::remap_reads);
+    f({"rematerialized_bytes"}, &ResilienceStats::rematerialized_bytes);
+    f({"retires_denied"}, &ResilienceStats::retires_denied);
+  }
 };
 
 /// Retires repeatedly-uncorrectable rows onto the channel's spare slab.

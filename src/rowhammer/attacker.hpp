@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hpp"
 #include "dram/controller.hpp"
 #include "rowhammer/disturbance.hpp"
 
@@ -41,6 +42,15 @@ struct HammerResult {
   std::uint64_t flips_in_victim = 0;  ///< flips landing in the intended data
   std::uint64_t flips_elsewhere = 0;  ///< collateral flips in other rows
   Picoseconds elapsed = 0;
+
+  template <typename F>
+  static void fields(F&& f) {
+    f({"granted_acts"}, &HammerResult::granted_acts);
+    f({"denied_acts"}, &HammerResult::denied_acts);
+    f({"flips_in_victim"}, &HammerResult::flips_in_victim);
+    f({"flips_elsewhere"}, &HammerResult::flips_elsewhere);
+    f({"elapsed", "elapsed_ps"}, &HammerResult::elapsed);
+  }
 };
 
 class HammerAttacker {

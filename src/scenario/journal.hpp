@@ -15,14 +15,16 @@
 //   followed by a tab-separated CRC32 trailer ("\t#crc32:xxxxxxxx") over the
 //   JSON text.  Lines are self-contained; a torn tail line (the process died
 //   mid-write) fails its CRC or its parse and is skipped on load, losing
-//   only that campaign.  A line whose CRC trailer mismatches (mid-file bit
-//   rot, not just a torn tail) is skipped with a warning on stderr.  Lines
-//   without a trailer (journals from older releases) fall back to
-//   parse-or-skip.  Duplicate names resolve last-wins, so a re-run that
-//   re-records a campaign simply supersedes the older line.  Failed
-//   campaigns are journaled too: a deterministic failure is not worth
-//   re-running, and a resumed report must list the same "failed" entries as
-//   an uninterrupted one.
+//   only that campaign (the next append starts a fresh line).  Inside each
+//   stats block the keys are the struct's member names, written and read
+//   through its field table (common/fields.hpp).  A line whose CRC trailer
+//   mismatches (mid-file bit rot, not just a torn tail) is skipped with a
+//   warning on stderr.  Lines without a trailer (journals from older
+//   releases) fall back to parse-or-skip.  Duplicate names resolve
+//   last-wins, so a re-run that re-records a campaign simply supersedes the
+//   older line.  Failed campaigns are journaled too: a deterministic
+//   failure is not worth re-running, and a resumed report must list the
+//   same "failed" entries as an uninterrupted one.
 //
 // Thread safety: record() is mutex-guarded (run_journaled fans campaigns
 // out over the pool); lookups are read-only after construction.

@@ -6,6 +6,7 @@
 
 #include "attack/hammer_gate.hpp"
 #include "common/error.hpp"
+#include "common/fields.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "defense/row_swap.hpp"
@@ -149,98 +150,6 @@ using dl::dram::ChannelId;
 using dl::traffic::StreamSpec;
 using dl::traffic::TrafficReport;
 
-// Field-wise sums for merging per-channel stats into the fabric result.
-
-void add_to(dl::rowhammer::HammerResult& a,
-            const dl::rowhammer::HammerResult& b) {
-  a.granted_acts += b.granted_acts;
-  a.denied_acts += b.denied_acts;
-  a.flips_in_victim += b.flips_in_victim;
-  a.flips_elsewhere += b.flips_elsewhere;
-  a.elapsed += b.elapsed;
-}
-
-void add_to(dl::defense::TrackerStats& a, const dl::defense::TrackerStats& b) {
-  a.observed_acts += b.observed_acts;
-  a.mitigations += b.mitigations;
-  a.victim_refreshes += b.victim_refreshes;
-}
-
-void add_to(dl::defense::DramLocker::Stats& a,
-            const dl::defense::DramLocker::Stats& b) {
-  a.rw_instructions += b.rw_instructions;
-  a.denied += b.denied;
-  a.unlock_swaps += b.unlock_swaps;
-  a.relocks += b.relocks;
-  a.swap_copy_errors += b.swap_copy_errors;
-  a.pool_exhausted_denials += b.pool_exhausted_denials;
-  a.swap_budget_denials += b.swap_budget_denials;
-  a.degraded_locks += b.degraded_locks;
-  a.degraded_swaps += b.degraded_swaps;
-  a.fallback_refreshes += b.fallback_refreshes;
-}
-
-void add_to(dl::integrity::ScrubStats& a, const dl::integrity::ScrubStats& b) {
-  a.passes += b.passes;
-  a.scrub_reads += b.scrub_reads;
-  a.scrub_read_bytes += b.scrub_read_bytes;
-  a.denied_accesses += b.denied_accesses;
-  a.correction_writes += b.correction_writes;
-  a.verified_groups += b.verified_groups;
-  a.detections += b.detections;
-  a.corrected_bits += b.corrected_bits;
-  a.zeroed_groups += b.zeroed_groups;
-  a.zeroed_corrupt_bytes += b.zeroed_corrupt_bytes;
-  a.checksum_repairs += b.checksum_repairs;
-  a.uncorrectable += b.uncorrectable;
-  a.unrecoverable_faults += b.unrecoverable_faults;
-  // Earliest detection across channels (0 means none yet on that channel).
-  if (b.first_detection_at != 0 &&
-      (a.first_detection_at == 0 ||
-       b.first_detection_at < a.first_detection_at)) {
-    a.first_detection_at = b.first_detection_at;
-  }
-}
-
-void add_to(dl::integrity::Audit& a, const dl::integrity::Audit& b) {
-  a.corrupt_bytes += b.corrupt_bytes;
-  a.missed_bytes += b.missed_bytes;
-}
-
-void add_to(dl::faults::FaultStats& a, const dl::faults::FaultStats& b) {
-  a.events += b.events;
-  a.retention_faults += b.retention_faults;
-  a.transient_faults += b.transient_faults;
-  a.stuck_cells += b.stuck_cells;
-  a.stuck_overrides += b.stuck_overrides;
-  a.lock_evictions += b.lock_evictions;
-  a.remap_faults += b.remap_faults;
-  a.checksum_faults += b.checksum_faults;
-}
-
-void add_to(dl::resilience::ResilienceStats& a,
-            const dl::resilience::ResilienceStats& b) {
-  a.strikes += b.strikes;
-  a.retired_rows += b.retired_rows;
-  a.spares_total += b.spares_total;
-  a.spares_remaining += b.spares_remaining;
-  a.remap_reads += b.remap_reads;
-  a.rematerialized_bytes += b.rematerialized_bytes;
-  a.retires_denied += b.retires_denied;
-}
-
-/// Merges one controller's refresh stats into a fabric-wide total: sums,
-/// except max_ref_slip_ps (worst over channels).  No-op when not timed.
-void merge_refresh(dl::dram::RefreshStats& into,
-                   const dl::dram::Controller& ctrl) {
-  const auto* tm = ctrl.timing_model();
-  if (tm == nullptr) return;
-  const auto& s = tm->refresh_stats();
-  into.refs_issued += s.refs_issued;
-  into.ref_busy_ps = checked_ps_add(into.ref_busy_ps, s.ref_busy_ps);
-  into.max_ref_slip_ps = std::max(into.max_ref_slip_ps, s.max_ref_slip_ps);
-}
-
 /// Owns whichever defense the spec selects, wired into `ctrl`.
 struct DefenseInstance {
   std::unique_ptr<dl::defense::TrrSampler> trr;
@@ -315,11 +224,12 @@ struct DefenseInstance {
   /// Adds the tracker and migration counters only hammer reports carry;
   /// harvest_stacks() takes the DRAM-Locker stats and locked rows.
   void harvest(HammerCampaignResult& r) const {
-    if (trr != nullptr) add_to(r.tracker, trr->stats());
-    if (counter_per_row != nullptr) add_to(r.tracker, counter_per_row->stats());
-    if (graphene != nullptr) add_to(r.tracker, graphene->stats());
-    if (counter_tree != nullptr) add_to(r.tracker, counter_tree->stats());
-    if (hydra != nullptr) add_to(r.tracker, hydra->stats());
+    using dl::fields::merge;
+    if (trr != nullptr) merge(r.tracker, trr->stats());
+    if (counter_per_row != nullptr) merge(r.tracker, counter_per_row->stats());
+    if (graphene != nullptr) merge(r.tracker, graphene->stats());
+    if (counter_tree != nullptr) merge(r.tracker, counter_tree->stats());
+    if (hydra != nullptr) merge(r.tracker, hydra->stats());
     if (row_swap != nullptr) {
       r.swaps += row_swap->swaps();
       r.unswaps += row_swap->unswaps();
@@ -621,11 +531,12 @@ std::vector<TrafficReport> run_round(const Stacks& stacks, Rosters& rosters,
 template <typename Result>
 void harvest_stacks(Result& r, const Stacks& stacks, const DramEnv& env,
                     const IntegritySpec& ispec) {
+  using dl::fields::merge;
   std::uint64_t degraded_migrations = 0;
   bool spares_dry = false;
   for (const auto& s : stacks) {
     if (s->defense.locker != nullptr) {
-      add_to(r.locker, s->defense.locker->stats());
+      merge(r.locker, s->defense.locker->stats());
     }
     if (s->defense.row_swap != nullptr) {
       degraded_migrations += s->defense.row_swap->degraded();
@@ -633,16 +544,18 @@ void harvest_stacks(Result& r, const Stacks& stacks, const DramEnv& env,
     r.locked_rows += s->defense.locked_rows;
     r.defense_time += s->ctrl->defense_time();
     if (s->scrubber != nullptr) {
-      add_to(r.integrity, s->scrubber->stats());
-      add_to(r.integrity_audit, s->scrubber->audit());
+      merge(r.integrity, s->scrubber->stats());
+      merge(r.integrity_audit, s->scrubber->audit());
     }
     if (s->retirer != nullptr) {
       r.resilience_enabled = true;
-      add_to(r.resilience, s->retirer->stats());
+      merge(r.resilience, s->retirer->stats());
       spares_dry = spares_dry || s->retirer->exhausted();
     }
-    if (s->injector != nullptr) add_to(r.faults, s->injector->stats());
-    merge_refresh(r.refresh, *s->ctrl);
+    if (s->injector != nullptr) merge(r.faults, s->injector->stats());
+    if (const auto* tm = s->ctrl->timing_model()) {
+      merge(r.refresh, tm->refresh_stats());
+    }
   }
   r.integrity_enabled = ispec.enabled;
   if (ispec.enabled) r.integrity_config = ispec.config;
@@ -745,10 +658,10 @@ HammerCampaignResult run_one(const HammerCampaign& campaign) {
                                            *stacks[vch]->model);
     for (std::uint64_t cycle = 0; cycle < cycle_cap; ++cycle) {
       issue_ops(campaign.pre_traffic);
-      add_to(attack[vch],
-             attacker.attack(vlocal, campaign.attack.pattern,
-                             campaign.attack.act_budget,
-                             campaign.attack.stop_after_flips));
+      dl::fields::merge(attack[vch],
+                        attacker.attack(vlocal, campaign.attack.pattern,
+                                        campaign.attack.act_budget,
+                                        campaign.attack.stop_after_flips));
       issue_ops(campaign.post_traffic);
       if (scrub_due(ispec, cycle)) {
         for (const auto& s : stacks) {
@@ -777,11 +690,9 @@ HammerCampaignResult run_one(const HammerCampaign& campaign) {
       a.denied_acts += t.denied;
     }
     a.elapsed += traffic[c].elapsed;
-    r.attack.granted_acts += a.granted_acts;
-    r.attack.denied_acts += a.denied_acts;
-    r.attack.flips_in_victim += a.flips_in_victim;
-    r.attack.flips_elsewhere += a.flips_elsewhere;
-    r.attack.elapsed = std::max(r.attack.elapsed, a.elapsed);
+    const Picoseconds makespan = std::max(r.attack.elapsed, a.elapsed);
+    dl::fields::merge(r.attack, a);
+    r.attack.elapsed = makespan;
     stack.defense.harvest(r);
     merge_tenants(r.tenants, traffic[c].tenants);
     const auto rowclones = static_cast<std::uint64_t>(
@@ -1304,82 +1215,22 @@ std::vector<BfaCampaignResult> run_bfa(
 
 namespace {
 
-void put_integrity_config(dl::json::Value& v,
-                          const dl::integrity::Config& config) {
+/// The "integrity" block of every report family: the checksum
+/// configuration, the verification and recovery counters (a DRAM
+/// scrubber's ScrubStats or the weight-space Stats), the ground-truth audit,
+/// and the detection rate derived from them.
+template <typename Counters>
+dl::json::Value integrity_block(const dl::integrity::Config& config,
+                                const Counters& s,
+                                const dl::integrity::Audit& audit) {
+  auto v = dl::json::Value::object();
   v["scheme"] = dl::integrity::to_string(config.scheme);
   v["group_size"] = config.group_size;
   v["recovery"] = dl::integrity::to_string(config.recovery);
-}
-
-void put_audit(dl::json::Value& v, const dl::integrity::Audit& audit) {
-  v["residual_corrupt_bytes"] = audit.corrupt_bytes;
-  v["missed_corrupt_bytes"] = audit.missed_bytes;
-}
-
-/// Shared outcome block of both report families: the verification /
-/// recovery counters (integrity::Stats and integrity::ScrubStats
-/// deliberately share this field shape), the ground-truth audit, and the
-/// detection rate derived from them.
-template <typename Counters>
-void put_integrity_outcome(dl::json::Value& v, const Counters& s,
-                           const dl::integrity::Audit& audit) {
-  v["verified_groups"] = s.verified_groups;
-  v["detections"] = s.detections;
-  v["corrected_bits"] = s.corrected_bits;
-  v["zeroed_groups"] = s.zeroed_groups;
-  v["zeroed_corrupt_bytes"] = s.zeroed_corrupt_bytes;
-  v["checksum_repairs"] = s.checksum_repairs;
-  v["uncorrectable"] = s.uncorrectable;
-  put_audit(v, audit);
+  dl::fields::put_report(v, s);
+  dl::fields::put_report(v, audit);
   v["detection_rate"] = dl::integrity::detection_rate(
       s.corrected_bits, s.zeroed_corrupt_bytes, audit);
-}
-
-/// The "dram_locker" block (DRAM-Locker lock/SWAP counters).
-dl::json::Value locker_block(const dl::defense::DramLocker::Stats& s) {
-  auto v = dl::json::Value::object();
-  v["rw_instructions"] = s.rw_instructions;
-  v["denied"] = s.denied;
-  v["unlock_swaps"] = s.unlock_swaps;
-  v["relocks"] = s.relocks;
-  v["swap_copy_errors"] = s.swap_copy_errors;
-  v["pool_exhausted_denials"] = s.pool_exhausted_denials;
-  v["swap_budget_denials"] = s.swap_budget_denials;
-  v["degraded_locks"] = s.degraded_locks;
-  v["degraded_swaps"] = s.degraded_swaps;
-  v["fallback_refreshes"] = s.fallback_refreshes;
-  return v;
-}
-
-/// The "integrity" block of a DRAM campaign: the RADAR-style scrubber's
-/// configuration, sweep counters and shared outcome.
-dl::json::Value scrub_block(const dl::integrity::Config& config,
-                            const dl::integrity::ScrubStats& s,
-                            const dl::integrity::Audit& audit) {
-  auto v = dl::json::Value::object();
-  put_integrity_config(v, config);
-  v["passes"] = s.passes;
-  v["scrub_reads"] = s.scrub_reads;
-  v["scrub_read_bytes"] = s.scrub_read_bytes;
-  v["denied_accesses"] = s.denied_accesses;
-  v["unrecoverable_faults"] = s.unrecoverable_faults;
-  v["correction_writes"] = s.correction_writes;
-  v["first_detection_ps"] = s.first_detection_at;
-  put_integrity_outcome(v, s, audit);
-  return v;
-}
-
-/// The opt-in "faults" block (fault-injection counters).
-dl::json::Value faults_block(const dl::faults::FaultStats& s) {
-  auto v = dl::json::Value::object();
-  v["events"] = s.events;
-  v["retention_faults"] = s.retention_faults;
-  v["transient_faults"] = s.transient_faults;
-  v["stuck_cells"] = s.stuck_cells;
-  v["stuck_overrides"] = s.stuck_overrides;
-  v["lock_evictions"] = s.lock_evictions;
-  v["remap_faults"] = s.remap_faults;
-  v["checksum_faults"] = s.checksum_faults;
   return v;
 }
 
@@ -1397,31 +1248,13 @@ void put_timing_block(dl::json::Value& v, const dl::dram::RefreshStats& refresh,
       elapsed > 0
           ? 100.0 * static_cast<double>(defense_time) / static_cast<double>(elapsed)
           : 0.0;
-  timing["refs_issued"] = refresh.refs_issued;
-  timing["ref_busy_ps"] = refresh.ref_busy_ps;
-  timing["max_ref_slip_ps"] = refresh.max_ref_slip_ps;
+  dl::fields::put_report(timing, refresh);
   if (scrub_bytes > 0) {
     const double secs = to_seconds(elapsed);
     timing["scrub_bandwidth_gb_per_sec"] =
         secs > 0.0 ? static_cast<double>(scrub_bytes) / secs / 1e9 : 0.0;
   }
   v["timing"] = std::move(timing);
-}
-
-/// Appends the opt-in "resilience" block (row-retirement outcome).  Emitted
-/// only for campaigns that ran with a spare pool, so pre-resilience reports
-/// stay byte-identical.
-void put_resilience_block(dl::json::Value& v,
-                          const dl::resilience::ResilienceStats& s) {
-  auto res = dl::json::Value::object();
-  res["strikes"] = s.strikes;
-  res["retired_rows"] = s.retired_rows;
-  res["spares_total"] = s.spares_total;
-  res["spares_remaining"] = s.spares_remaining;
-  res["remap_reads"] = s.remap_reads;
-  res["rematerialized_bytes"] = s.rematerialized_bytes;
-  res["retires_denied"] = s.retires_denied;
-  v["resilience"] = std::move(res);
 }
 
 }  // namespace
@@ -1434,19 +1267,9 @@ dl::json::Value to_json(const HammerCampaignResult& r) {
   v["completed_cycles"] = r.completed_cycles;
   // Nested objects are built as locals and moved in: a reference returned
   // by operator[] dies on the next sibling insertion.
-  auto attack = dl::json::Value::object();
-  attack["granted_acts"] = r.attack.granted_acts;
-  attack["denied_acts"] = r.attack.denied_acts;
-  attack["flips_in_victim"] = r.attack.flips_in_victim;
-  attack["flips_elsewhere"] = r.attack.flips_elsewhere;
-  attack["elapsed_ps"] = r.attack.elapsed;
-  v["attack"] = std::move(attack);
-  auto tracker = dl::json::Value::object();
-  tracker["observed_acts"] = r.tracker.observed_acts;
-  tracker["mitigations"] = r.tracker.mitigations;
-  tracker["victim_refreshes"] = r.tracker.victim_refreshes;
-  v["tracker"] = std::move(tracker);
-  v["dram_locker"] = locker_block(r.locker);
+  v["attack"] = dl::fields::report(r.attack);
+  v["tracker"] = dl::fields::report(r.tracker);
+  v["dram_locker"] = dl::fields::report(r.locker);
   v["swaps"] = r.swaps;
   v["unswaps"] = r.unswaps;
   v["degraded_migrations"] = r.degraded_migrations;
@@ -1461,18 +1284,9 @@ dl::json::Value to_json(const HammerCampaignResult& r) {
     fabric["channels"] = r.fabric_channels;
     auto per = dl::json::Value::array();
     for (std::size_t c = 0; c < r.channels.size(); ++c) {
-      const ChannelBreakdown& cb = r.channels[c];
       auto ch = dl::json::Value::object();
       ch["channel"] = c;
-      ch["granted_acts"] = cb.granted_acts;
-      ch["denied_acts"] = cb.denied_acts;
-      ch["flips_in_victim"] = cb.flips_in_victim;
-      ch["flips_elsewhere"] = cb.flips_elsewhere;
-      ch["rowclones"] = cb.rowclones;
-      ch["total_flips"] = cb.total_flips;
-      ch["serviced"] = cb.serviced;
-      ch["defense_time_ps"] = cb.defense_time;
-      ch["elapsed_ps"] = cb.elapsed;
+      dl::fields::put_report(ch, r.channels[c]);
       per.push_back(std::move(ch));
     }
     fabric["per_channel"] = std::move(per);
@@ -1487,19 +1301,19 @@ dl::json::Value to_json(const HammerCampaignResult& r) {
   }
   if (r.integrity_enabled) {
     auto integrity =
-        scrub_block(r.integrity_config, r.integrity, r.integrity_audit);
+        integrity_block(r.integrity_config, r.integrity, r.integrity_audit);
     const double secs = to_seconds(r.elapsed);
     integrity["scrub_bandwidth_bytes_per_sec"] =
         secs > 0.0 ? static_cast<double>(r.integrity.scrub_read_bytes) / secs
                    : 0.0;
     v["integrity"] = std::move(integrity);
   }
-  if (r.faults_enabled) v["faults"] = faults_block(r.faults);
+  if (r.faults_enabled) v["faults"] = dl::fields::report(r.faults);
   if (r.timed) {
     put_timing_block(v, r.refresh, r.elapsed, r.defense_time,
                      r.integrity_enabled ? r.integrity.scrub_read_bytes : 0);
   }
-  if (r.resilience_enabled) put_resilience_block(v, r.resilience);
+  if (r.resilience_enabled) v["resilience"] = dl::fields::report(r.resilience);
   return v;
 }
 
@@ -1517,9 +1331,8 @@ dl::json::Value to_json(const BfaCampaignResult& r) {
   for (const double a : r.accuracy) curve.push_back(a);
   v["accuracy"] = std::move(curve);
   if (r.integrity_enabled) {
-    auto integrity = dl::json::Value::object();
-    put_integrity_config(integrity, r.integrity_config);
-    put_integrity_outcome(integrity, r.integrity, r.integrity_audit);
+    auto integrity =
+        integrity_block(r.integrity_config, r.integrity, r.integrity_audit);
     integrity["accuracy_before_recovery"] = r.accuracy_before_recovery;
     integrity["recovered_accuracy"] = r.recovered_accuracy;
     v["integrity"] = std::move(integrity);
@@ -1561,20 +1374,20 @@ dl::json::Value to_json(const ServeCampaignResult& r) {
     channels.push_back(std::move(ch));
   }
   v["channels"] = std::move(channels);
-  v["dram_locker"] = locker_block(r.locker);
+  v["dram_locker"] = dl::fields::report(r.locker);
   v["locked_rows"] = r.locked_rows;
   v["defense_time_ps"] = r.defense_time;
   v["degraded"] = r.degraded;
   if (r.integrity_enabled) {
     v["integrity"] =
-        scrub_block(r.integrity_config, r.integrity, r.integrity_audit);
+        integrity_block(r.integrity_config, r.integrity, r.integrity_audit);
   }
-  if (r.faults_enabled) v["faults"] = faults_block(r.faults);
+  if (r.faults_enabled) v["faults"] = dl::fields::report(r.faults);
   if (r.timed) {
     put_timing_block(v, r.refresh, r.merged.elapsed, r.defense_time,
                      r.integrity_enabled ? r.integrity.scrub_read_bytes : 0);
   }
-  if (r.resilience_enabled) put_resilience_block(v, r.resilience);
+  if (r.resilience_enabled) v["resilience"] = dl::fields::report(r.resilience);
   if (r.chaos_enabled) {
     const AvailabilityStats& a = r.availability;
     auto av = dl::json::Value::object();

@@ -291,6 +291,19 @@ struct ChannelBreakdown {
   std::uint64_t serviced = 0;  ///< traffic requests drained on this channel
   Picoseconds defense_time = 0;
   Picoseconds elapsed = 0;  ///< channel controller clock at the end
+
+  template <typename F>
+  static void fields(F&& f) {
+    f({"granted_acts"}, &ChannelBreakdown::granted_acts);
+    f({"denied_acts"}, &ChannelBreakdown::denied_acts);
+    f({"flips_in_victim"}, &ChannelBreakdown::flips_in_victim);
+    f({"flips_elsewhere"}, &ChannelBreakdown::flips_elsewhere);
+    f({"rowclones"}, &ChannelBreakdown::rowclones);
+    f({"total_flips"}, &ChannelBreakdown::total_flips);
+    f({"serviced"}, &ChannelBreakdown::serviced);
+    f({"defense_time", "defense_time_ps"}, &ChannelBreakdown::defense_time);
+    f({"elapsed", "elapsed_ps"}, &ChannelBreakdown::elapsed);
+  }
 };
 
 struct HammerCampaignResult {
@@ -438,6 +451,22 @@ struct AvailabilityStats {
     return offered > 0
                ? static_cast<double>(served) / static_cast<double>(offered)
                : 1.0;
+  }
+
+  /// The journal's rows; the report block is hand-written, because
+  /// availability() sits between the counts and the times.
+  template <typename F>
+  static void fields(F&& f) {
+    f({"offered"}, &AvailabilityStats::offered);
+    f({"served"}, &AvailabilityStats::served);
+    f({"shed"}, &AvailabilityStats::shed);
+    f({"failed"}, &AvailabilityStats::failed);
+    f({"redirected"}, &AvailabilityStats::redirected);
+    f({"time_in_degraded"}, &AvailabilityStats::time_in_degraded);
+    f({"first_fault_at"}, &AvailabilityStats::first_fault_at);
+    f({"restored_at"}, &AvailabilityStats::restored_at);
+    f({"mttr"}, &AvailabilityStats::mttr);
+    f({"restored"}, &AvailabilityStats::restored);
   }
 };
 

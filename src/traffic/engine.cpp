@@ -123,22 +123,8 @@ Picoseconds TenantStats::latency_quantile(double q) const {
 }
 
 void TenantStats::merge(const TenantStats& other) {
-  issued += other.issued;
-  granted += other.granted;
-  denied += other.denied;
-  rejected_enqueues += other.rejected_enqueues;
-  reads += other.reads;
-  writes += other.writes;
-  hammer_acts += other.hammer_acts;
-  row_hits += other.row_hits;
-  data_bytes += other.data_bytes;
-  service_time += other.service_time;
+  dl::fields::merge(*this, other);
   queue_latency.merge(other.queue_latency);
-  admission = admission || other.admission;
-  retried += other.retried;
-  shed += other.shed;
-  failed += other.failed;
-  deadline_misses += other.deadline_misses;
 }
 
 TrafficEngine::TrafficEngine(dl::dram::Controller& ctrl,
@@ -332,18 +318,6 @@ dl::json::Value to_json(const TenantStats& t, Picoseconds elapsed) {
     a["deadline_misses"] = t.deadline_misses;
     v["admission"] = std::move(a);
   }
-  return v;
-}
-
-dl::json::Value to_json(const TrafficReport& report) {
-  auto v = dl::json::Value::object();
-  v["serviced"] = report.serviced;
-  v["elapsed_ps"] = report.elapsed;
-  auto tenants = dl::json::Value::array();
-  for (const TenantStats& t : report.tenants) {
-    tenants.push_back(to_json(t, report.elapsed));
-  }
-  v["tenants"] = std::move(tenants);
   return v;
 }
 

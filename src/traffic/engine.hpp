@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hpp"
 #include "common/json.hpp"
 #include "traffic/frfcfs.hpp"
 #include "traffic/stream.hpp"
@@ -125,6 +126,27 @@ struct TenantStats {
   /// Accumulates another run of the same tenant (stats added, latency
   /// histograms merged).
   void merge(const TenantStats& other);
+
+  /// Every member but `name`, `kind` and `queue_latency`, which the journal
+  /// and the hand-written report block treat on their own.
+  template <typename F>
+  static void fields(F&& f) {
+    f({"issued"}, &TenantStats::issued);
+    f({"granted"}, &TenantStats::granted);
+    f({"denied"}, &TenantStats::denied);
+    f({"rejected_enqueues"}, &TenantStats::rejected_enqueues);
+    f({"reads"}, &TenantStats::reads);
+    f({"writes"}, &TenantStats::writes);
+    f({"hammer_acts"}, &TenantStats::hammer_acts);
+    f({"row_hits"}, &TenantStats::row_hits);
+    f({"data_bytes"}, &TenantStats::data_bytes);
+    f({"service_time"}, &TenantStats::service_time);
+    f({"admission"}, &TenantStats::admission);
+    f({"retried"}, &TenantStats::retried);
+    f({"shed"}, &TenantStats::shed);
+    f({"failed"}, &TenantStats::failed);
+    f({"deadline_misses"}, &TenantStats::deadline_misses);
+  }
 };
 
 /// Outcome of one engine run.
@@ -138,7 +160,6 @@ struct TrafficReport {
 /// total when reporting merged cycles.
 [[nodiscard]] dl::json::Value to_json(const TenantStats& t,
                                       Picoseconds elapsed);
-[[nodiscard]] dl::json::Value to_json(const TrafficReport& report);
 
 /// Thread safety: none — an engine owns one controller's request flow for
 /// the duration of run().  Determinism: with fixed tenant specs the full

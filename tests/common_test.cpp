@@ -169,20 +169,6 @@ TEST(Histogram, OutOfRangeCounted) {
   EXPECT_EQ(h.total(), 2u);
 }
 
-TEST(StatSet, AddSetGet) {
-  StatSet s;
-  s.add("reads");
-  s.add("reads", 2);
-  s.set("writes", 7);
-  EXPECT_DOUBLE_EQ(s.get("reads"), 3.0);
-  EXPECT_DOUBLE_EQ(s.get("writes"), 7.0);
-  EXPECT_DOUBLE_EQ(s.get("absent"), 0.0);
-  EXPECT_TRUE(s.has("reads"));
-  EXPECT_FALSE(s.has("absent"));
-  EXPECT_EQ(s.entries().size(), 2u);
-  EXPECT_EQ(s.entries()[0].first, "reads");  // insertion order preserved
-}
-
 TEST(TextTable, RendersAlignedRows) {
   TextTable t({"name", "value"});
   t.add_row({"alpha", "1"});

@@ -79,8 +79,8 @@ TEST_F(ControllerTest, BulkRowHitAggregatesAnyHit) {
 
 TEST_F(ControllerTest, HammerCountsActivations) {
   for (int i = 0; i < 5; ++i) ctrl.hammer(0);
-  EXPECT_EQ(ctrl.stats().get("hammer_acts"), 5.0);
-  EXPECT_GE(ctrl.stats().get("activates"), 5.0);
+  EXPECT_EQ(ctrl.counters().value(Counter::kHammerActs), 5.0);
+  EXPECT_GE(ctrl.counters().value(Counter::kActivates), 5.0);
 }
 
 TEST_F(ControllerTest, ActivationListenerSeesPhysicalRow) {
@@ -115,7 +115,7 @@ TEST_F(ControllerTest, RowCloneCopiesWithinSubarray) {
   std::array<std::uint8_t, 2> out{};
   ctrl.read(5 * g.row_bytes, out);
   EXPECT_EQ(in, out);
-  EXPECT_EQ(ctrl.stats().get("rowclones"), 1.0);
+  EXPECT_EQ(ctrl.counters().value(Counter::kRowClones), 1.0);
 }
 
 TEST_F(ControllerTest, RowCloneRejectsCrossSubarray) {
@@ -131,7 +131,7 @@ TEST_F(ControllerTest, RowCloneCorruptionFlipsOneBit) {
   std::array<std::uint8_t, 1> out{};
   ctrl.read(5 * g.row_bytes, out);
   EXPECT_EQ(out[0], 0b100);
-  EXPECT_EQ(ctrl.stats().get("rowclone_corruptions"), 1.0);
+  EXPECT_EQ(ctrl.counters().value(Counter::kRowCloneCorruptions), 1.0);
 }
 
 TEST_F(ControllerTest, GateCanDenyAccess) {
@@ -145,7 +145,7 @@ TEST_F(ControllerTest, GateCanDenyAccess) {
   const auto r = ctrl.read(0, buf);
   EXPECT_FALSE(r.granted);
   EXPECT_EQ(r.latency, 0);
-  EXPECT_EQ(ctrl.stats().get("denied_accesses"), 1.0);
+  EXPECT_EQ(ctrl.counters().value(Counter::kDeniedAccesses), 1.0);
   ctrl.set_gate(nullptr);
   EXPECT_TRUE(ctrl.read(0, buf).granted);
 }
@@ -207,7 +207,7 @@ TEST_F(ControllerTest, TargetedRefreshNotifiesListeners) {
   ctrl.refresh_row(11);
   ASSERT_EQ(probe.refreshed.size(), 1u);
   EXPECT_EQ(probe.refreshed[0], 11u);
-  EXPECT_EQ(ctrl.stats().get("targeted_refreshes"), 1.0);
+  EXPECT_EQ(ctrl.counters().value(Counter::kTargetedRefreshes), 1.0);
 }
 
 TEST_F(ControllerTest, TraceRecordsCommands) {

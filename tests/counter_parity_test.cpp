@@ -1,15 +1,9 @@
-// Counter parity: the enum-indexed CounterBlock is the authoritative
-// hot-path counter store, exported into the legacy string-keyed StatSet on
-// demand.  These tests pin the compatibility contract across the three
-// campaign shapes the repo runs — a hammer campaign (attacker + DRAM-Locker
-// gate + SWAP sequencer), a multi-tenant traffic campaign, and an integrity
-// campaign (DRAM scrubber) — plus the CounterBlock unit semantics:
-//
-//   * every legacy StatSet key still appears, with identical values;
-//   * entry order equals first-touch order (what per-call StatSet::add
-//     produced before the refactor);
-//   * counters that never fired stay absent;
-//   * keys set externally on the StatSet survive re-exports.
+// Counter parity: the enum-indexed CounterBlock is the controller's one
+// counter store.  These tests pin what it counts across the three campaign
+// shapes the repo runs — a hammer campaign (attacker + DRAM-Locker gate +
+// SWAP sequencer), a multi-tenant traffic campaign, and an integrity
+// campaign (DRAM scrubber) — against the defenses' and tenants' own
+// ledgers, plus the CounterBlock unit semantics.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -30,49 +24,17 @@ using dram::Controller;
 using dram::Counter;
 using dram::CounterBlock;
 
-/// Every StatSet entry must mirror the counter block: same key, same
-/// value, same (first-touch) order, nothing extra and nothing missing.
-void expect_parity(const Controller& ctrl) {
-  const auto& entries = ctrl.stats().entries();
-  const CounterBlock& c = ctrl.counters();
-  ASSERT_EQ(entries.size(), c.touched_count());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Counter counter = c.touched_at(i);
-    EXPECT_EQ(entries[i].first, dram::to_string(counter)) << "entry " << i;
-    EXPECT_EQ(entries[i].second, c.value(counter)) << entries[i].first;
-  }
-}
-
-TEST(CounterBlock, FirstTouchOrderAndValues) {
+TEST(CounterBlock, AddAccumulatesAndResetClears) {
   CounterBlock c;
   c.add(Counter::kActivates);
   c.add(Counter::kHammerActs, 3.0);
   c.add(Counter::kActivates, 2.0);
-  EXPECT_EQ(c.touched_count(), 2u);
-  EXPECT_EQ(c.touched_at(0), Counter::kActivates);
-  EXPECT_EQ(c.touched_at(1), Counter::kHammerActs);
   EXPECT_EQ(c.value(Counter::kActivates), 3.0);
   EXPECT_EQ(c.value(Counter::kHammerActs), 3.0);
-  EXPECT_FALSE(c.touched(Counter::kReads));
   EXPECT_EQ(c.value(Counter::kReads), 0.0);
-}
-
-TEST(CounterBlock, ExportIsIdempotentAndPreservesExternalKeys) {
-  CounterBlock c;
-  c.add(Counter::kReads, 7.0);
-  StatSet s;
-  s.add("external_key", 42.0);  // added by code outside the controller
-  c.export_to(s);
-  c.export_to(s);  // repeated export must not duplicate or drift
-  EXPECT_EQ(s.entries().size(), 2u);
-  EXPECT_EQ(s.get("external_key"), 42.0);
-  EXPECT_EQ(s.get("reads"), 7.0);
-  c.add(Counter::kReads);
-  c.export_to(s);
-  EXPECT_EQ(s.get("reads"), 8.0);
   c.reset();
-  EXPECT_EQ(c.touched_count(), 0u);
-  EXPECT_EQ(c.value(Counter::kReads), 0.0);
+  EXPECT_EQ(c.value(Counter::kActivates), 0.0);
+  EXPECT_EQ(c.value(Counter::kHammerActs), 0.0);
 }
 
 TEST(CounterParity, HammerCampaign) {
@@ -94,14 +56,14 @@ TEST(CounterParity, HammerCampaign) {
   // Privileged access to a locked row: unlock SWAP through the sequencer.
   ctrl.read(ctrl.mapper().row_base(19), buf, /*can_unlock=*/true);
 
-  expect_parity(ctrl);
-  const auto& stats = ctrl.stats();
-  EXPECT_EQ(stats.get("denied_accesses"), 16.0);
-  EXPECT_EQ(stats.get("hammer_acts"), 16.0);
-  EXPECT_EQ(stats.get("rowclones"), 3.0);           // one 3-copy SWAP
-  EXPECT_EQ(stats.get("sequencer_programs"), 1.0);  // typed adoption key
-  EXPECT_EQ(static_cast<std::uint64_t>(stats.get("sequencer_programs")),
-            locker.stats().unlock_swaps);
+  const CounterBlock& stats = ctrl.counters();
+  EXPECT_EQ(stats.value(Counter::kDeniedAccesses), 16.0);
+  EXPECT_EQ(stats.value(Counter::kHammerActs), 16.0);
+  EXPECT_EQ(stats.value(Counter::kRowClones), 3.0);  // one 3-copy SWAP
+  EXPECT_EQ(stats.value(Counter::kSequencerPrograms), 1.0);
+  EXPECT_EQ(
+      static_cast<std::uint64_t>(stats.value(Counter::kSequencerPrograms)),
+      locker.stats().unlock_swaps);
 }
 
 TEST(CounterParity, TrafficCampaign) {
@@ -116,7 +78,6 @@ TEST(CounterParity, TrafficCampaign) {
   traffic::TrafficEngine engine(ctrl, std::move(tenants), {});
   const auto report = engine.run();
 
-  expect_parity(ctrl);
   // The per-tenant ledger and the controller counter block must agree.
   std::uint64_t reads = 0, writes = 0, hammers = 0;
   for (const auto& t : report.tenants) {
@@ -124,10 +85,10 @@ TEST(CounterParity, TrafficCampaign) {
     writes += t.writes;
     hammers += t.hammer_acts;
   }
-  const auto& stats = ctrl.stats();
-  EXPECT_EQ(stats.get("reads"), static_cast<double>(reads));
-  EXPECT_EQ(stats.get("writes"), static_cast<double>(writes));
-  EXPECT_EQ(stats.get("hammer_acts"), static_cast<double>(hammers));
+  const CounterBlock& stats = ctrl.counters();
+  EXPECT_EQ(stats.value(Counter::kReads), static_cast<double>(reads));
+  EXPECT_EQ(stats.value(Counter::kWrites), static_cast<double>(writes));
+  EXPECT_EQ(stats.value(Counter::kHammerActs), static_cast<double>(hammers));
 }
 
 TEST(CounterParity, IntegrityCampaign) {
@@ -142,13 +103,12 @@ TEST(CounterParity, IntegrityCampaign) {
   ctrl.data().flip_bit(8, 10, 3);
   scrubber.scrub_pass();
 
-  expect_parity(ctrl);
-  const auto& stats = ctrl.stats();
-  EXPECT_EQ(stats.get("scrub_chunk_verifies"),
+  const CounterBlock& stats = ctrl.counters();
+  EXPECT_EQ(stats.value(Counter::kScrubChunkVerifies),
             static_cast<double>(scrubber.stats().verified_groups));
-  EXPECT_GT(stats.get("scrub_chunk_verifies"), 0.0);
+  EXPECT_GT(stats.value(Counter::kScrubChunkVerifies), 0.0);
   // The corrective write is accounted like any other controller write.
-  EXPECT_EQ(stats.get("writes"),
+  EXPECT_EQ(stats.value(Counter::kWrites),
             2.0 + static_cast<double>(scrubber.stats().correction_writes));
 }
 
@@ -159,10 +119,9 @@ TEST(CounterParity, ChannelSwapAdoption) {
   defense::RowSwap rrs(ctrl, cfg, Rng(3));
   ctrl.add_listener(&rrs);
   for (int i = 0; i < 64; ++i) ctrl.hammer(ctrl.mapper().row_base(40));
-  expect_parity(ctrl);
-  EXPECT_EQ(ctrl.stats().get("channel_swaps"),
+  EXPECT_EQ(ctrl.counters().value(Counter::kChannelSwaps),
             static_cast<double>(rrs.swaps()));
-  EXPECT_GT(ctrl.stats().get("channel_swaps"), 0.0);
+  EXPECT_GT(ctrl.counters().value(Counter::kChannelSwaps), 0.0);
 }
 
 }  // namespace

@@ -14,6 +14,11 @@
 // generation), and so are failed campaigns (an error string is not a
 // simulated result).
 //
+// Simulated campaigns leave many counters at 0, so two of them written
+// under each other's keys would not move a digest.  The hand-built results
+// of tests/schema_pins.hpp (BFA included) give every field its own value
+// and pin every report key.
+//
 // When a change is *meant* to move a report, re-record the digest it
 // prints and say why in the change description.
 #include <gtest/gtest.h>
@@ -24,6 +29,7 @@
 
 #include "common/crc32.hpp"
 #include "scenario/scenario.hpp"
+#include "schema_pins.hpp"
 
 namespace {
 
@@ -302,6 +308,15 @@ TEST(GoldenReports, ServeCampaignDigests) {
     EXPECT_EQ(hex(digest(scenario::to_json(r))), hex(g.crc))
         << g.campaign.name;
   }
+}
+
+TEST(GoldenReports, SchemaPinDigests) {
+  EXPECT_EQ(hex(digest(scenario::to_json(schema_pins::hammer()))),
+            hex(schema_pins::kHammerCrc));
+  EXPECT_EQ(hex(digest(scenario::to_json(schema_pins::serve()))),
+            hex(schema_pins::kServeCrc));
+  EXPECT_EQ(hex(digest(scenario::to_json(schema_pins::bfa()))),
+            hex(schema_pins::kBfaCrc));
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "nn/train.hpp"
 #include "scenario/journal.hpp"
 #include "scenario/scenario.hpp"
+#include "schema_pins.hpp"
 #include "traffic/stream.hpp"
 
 namespace {
@@ -173,6 +174,14 @@ TEST(Journal, TornTailLineIsSkippedOnLoad) {
   const auto resumed = scenario::run_journaled(campaigns, journal);
   EXPECT_EQ(scenario::report_json(resumed).dump(2),
             scenario::report_json(scenario::run(campaigns)).dump(2));
+  // The next append starts a line of its own: the torn fragment must not
+  // swallow the record written after it.
+  scenario::HammerCampaignResult late = resumed[0];
+  late.name = "after-the-tear";
+  journal.record(late);
+  CampaignJournal reloaded(path);
+  EXPECT_EQ(reloaded.loaded(), campaigns.size() + 1);
+  EXPECT_NE(reloaded.find_hammer("after-the-tear"), nullptr);
   std::remove(path.c_str());
 }
 
@@ -507,8 +516,9 @@ TEST(Journal, MalformedLatencyBinsAreNotRestored) {
 
 TEST(Journal, OutOfRangeEnumCodesAreNotRestored) {
   // Each enum the journal stores as an integer code, set past its last
-  // enumerator under a valid CRC: the line must be skipped and its
-  // campaign re-run, never reported with a "?" name.
+  // enumerator under a valid CRC, and each narrowed integer set past its
+  // type's range: the line must be skipped and its campaign re-run, never
+  // reported with a "?" name or a wrapped value.
   const auto campaigns = serve_campaigns();
   const auto chaos = scenario::run_serve_isolated(campaigns[1]);
   ASSERT_FALSE(chaos.channel_health.empty());
@@ -526,6 +536,10 @@ TEST(Journal, OutOfRangeEnumCodesAreNotRestored) {
       with_value(json, "scheme", "9"),
       with_value(json, "recovery", "9"),
       with_value(json, "channel_health", "9"),
+      // Integers narrowed on decode, past their type's range: unchecked,
+      // 2^32+1 channels would load as 1 and 2^32+32 bytes as 32.
+      with_value(json, "fabric_channels", "4294967297"),
+      with_value(json, "group_size", "4294967328"),
   };
   for (std::size_t m = 0; m < crafted.size(); ++m) {
     write_signed_line(path, crafted[m]);
@@ -537,6 +551,186 @@ TEST(Journal, OutOfRangeEnumCodesAreNotRestored) {
               expected)
         << m;
   }
+  std::remove(path.c_str());
+}
+
+TEST(Journal, TooDeeplyNestedLineIsNotRestored) {
+  // 50,000 nested arrays under a valid CRC: the parser must refuse the
+  // line with an error, not recurse once per level until the stack runs
+  // out, and the campaign re-runs.
+  const auto direct = scenario::run_serve_isolated(tiny_serve());
+  const std::string path = journal_path("deep");
+  std::string json = journal_json(direct, path);
+  json.insert(json.size() - 1, ",\"deep\":" + std::string(50'000, '[') +
+                                   std::string(50'000, ']'));
+  write_signed_line(path, json);
+  CampaignJournal journal(path);
+  EXPECT_EQ(journal.crc_mismatches(), 0u);
+  EXPECT_EQ(journal.loaded(), 0u);
+  EXPECT_EQ(journal.find_serve(direct.name), nullptr);
+  EXPECT_EQ(serve_report(scenario::run_serve_journaled({tiny_serve()}, journal)),
+            serve_report({direct}));
+  std::remove(path.c_str());
+}
+
+// ------------------------------------------------------ schema pins
+
+// Journal lines of the tests/schema_pins.hpp results, with their CRC
+// trailers, as written before the stats structs had field tables.
+const char* const kHammerPinLine =
+    R"({"kind":"hammer","name":"pin/hammer","status":"truncated","error":)"
+    R"("","completed_cycles":3,"attack":{"granted_acts":101,"denied_acts")"
+    R"(:102,"flips_in_victim":103,"flips_elsewhere":104,"elapsed":105},"t)"
+    R"(racker":{"observed_acts":111,"mitigations":112,"victim_refreshes":)"
+    R"(113},"locker":{"rw_instructions":121,"denied":122,"unlock_swaps":1)"
+    R"(23,"relocks":124,"swap_copy_errors":125,"pool_exhausted_denials":1)"
+    R"(26,"swap_budget_denials":127,"degraded_locks":128,"degraded_swaps")"
+    R"(:129,"fallback_refreshes":130},"swaps":131,"unswaps":132,"degraded)"
+    R"(_migrations":133,"rowclones":134,"total_flips":135,"locked_rows":1)"
+    R"(36,"defense_time":137000,"elapsed":138000000,"tenants":[{"name":"p)"
+    R"(in-attacker","kind":2,"issued":141,"granted":142,"denied":143,"rej)"
+    R"(ected_enqueues":144,"reads":145,"writes":146,"hammer_acts":147,"ro)"
+    R"(w_hits":148,"data_bytes":149,"service_time":150,"admission":true,")"
+    R"(retried":154,"shed":155,"failed":156,"deadline_misses":157,"queue_)"
+    R"(latency_bins":[151,1,152,2,153,3]}],"integrity_enabled":true,"inte)"
+    R"(grity_config":{"scheme":1,"group_size":160,"recovery":1},"integrit)"
+    R"(y":{"passes":161,"scrub_reads":162,"scrub_read_bytes":163,"denied_)"
+    R"(accesses":164,"correction_writes":165,"verified_groups":166,"detec)"
+    R"(tions":167,"corrected_bits":168,"zeroed_groups":169,"zeroed_corrup)"
+    R"(t_bytes":170,"checksum_repairs":171,"uncorrectable":172,"unrecover)"
+    R"(able_faults":173,"first_detection_at":174},"integrity_audit":{"cor)"
+    R"(rupt_bytes":175,"missed_bytes":176},"faults_enabled":true,"faults")"
+    R"(:{"events":181,"retention_faults":182,"transient_faults":183,"stuc)"
+    R"(k_cells":184,"stuck_overrides":185,"lock_evictions":186,"remap_fau)"
+    R"(lts":187,"checksum_faults":188},"degraded":true,"timed":true,"refr)"
+    R"(esh":{"refs_issued":221,"ref_busy_ps":222,"max_ref_slip_ps":223},")"
+    R"(resilience_enabled":true,"resilience":{"strikes":231,"retired_rows)"
+    R"(":232,"spares_total":233,"spares_remaining":234,"remap_reads":235,)"
+    R"("rematerialized_bytes":236,"retires_denied":237},"fabric_channels")"
+    R"(:2,"channels":[{"granted_acts":201,"denied_acts":202,"flips_in_vic)"
+    R"(tim":203,"flips_elsewhere":204,"rowclones":205,"total_flips":206,")"
+    R"(serviced":207,"defense_time":208,"elapsed":209},{"granted_acts":21)"
+    R"(1,"denied_acts":212,"flips_in_victim":213,"flips_elsewhere":214,"r)"
+    R"(owclones":215,"total_flips":216,"serviced":217,"defense_time":218,)"
+    R"("elapsed":219}]})"
+    "\t#crc32:4a7b5f40";
+
+const char* const kServePinLine =
+    R"({"kind":"serve","name":"pin/serve","status":"ok","error":"","fabri)"
+    R"(c_channels":2,"completed_rounds":301,"merged":{"serviced":441,"ela)"
+    R"(psed":42400,"tenants":[{"name":"pin-web","kind":1,"issued":401,"gr)"
+    R"(anted":402,"denied":403,"rejected_enqueues":404,"reads":405,"write)"
+    R"(s":406,"hammer_acts":407,"row_hits":408,"data_bytes":409,"service_)"
+    R"(time":410,"admission":true,"retried":414,"shed":415,"failed":416,")"
+    R"(deadline_misses":417,"queue_latency_bins":[411,1,412,2,413,3]},{"n)"
+    R"(ame":"scrub","kind":3,"issued":421,"granted":422,"denied":423,"rej)"
+    R"(ected_enqueues":424,"reads":425,"writes":426,"hammer_acts":427,"ro)"
+    R"(w_hits":428,"data_bytes":429,"service_time":430,"admission":false,)"
+    R"("retried":434,"shed":435,"failed":436,"deadline_misses":437,"queue)"
+    R"(_latency_bins":[431,1,432,2,433,3]}]},"per_channel":[{"serviced":5)"
+    R"(41,"elapsed":42500,"tenants":[{"name":"pin-web","kind":1,"issued":)"
+    R"(501,"granted":502,"denied":503,"rejected_enqueues":504,"reads":505)"
+    R"(,"writes":506,"hammer_acts":507,"row_hits":508,"data_bytes":509,"s)"
+    R"(ervice_time":510,"admission":true,"retried":514,"shed":515,"failed)"
+    R"(":516,"deadline_misses":517,"queue_latency_bins":[511,1,512,2,513,)"
+    R"(3]},{"name":"scrub","kind":3,"issued":521,"granted":522,"denied":5)"
+    R"(23,"rejected_enqueues":524,"reads":525,"writes":526,"hammer_acts":)"
+    R"(527,"row_hits":528,"data_bytes":529,"service_time":530,"admission")"
+    R"(:false,"retried":534,"shed":535,"failed":536,"deadline_misses":537)"
+    R"(,"queue_latency_bins":[531,1,532,2,533,3]}]},{"serviced":641,"elap)"
+    R"(sed":42600,"tenants":[{"name":"pin-web","kind":1,"issued":601,"gra)"
+    R"(nted":602,"denied":603,"rejected_enqueues":604,"reads":605,"writes)"
+    R"(":606,"hammer_acts":607,"row_hits":608,"data_bytes":609,"service_t)"
+    R"(ime":610,"admission":true,"retried":614,"shed":615,"failed":616,"d)"
+    R"(eadline_misses":617,"queue_latency_bins":[611,1,612,2,613,3]},{"na)"
+    R"(me":"scrub","kind":3,"issued":621,"granted":622,"denied":623,"reje)"
+    R"(cted_enqueues":624,"reads":625,"writes":626,"hammer_acts":627,"row)"
+    R"(_hits":628,"data_bytes":629,"service_time":630,"admission":false,")"
+    R"(retried":634,"shed":635,"failed":636,"deadline_misses":637,"queue_)"
+    R"(latency_bins":[631,1,632,2,633,3]}]}],"locker":{"rw_instructions":)"
+    R"(701,"denied":702,"unlock_swaps":703,"relocks":704,"swap_copy_error)"
+    R"(s":705,"pool_exhausted_denials":706,"swap_budget_denials":707,"deg)"
+    R"(raded_locks":708,"degraded_swaps":709,"fallback_refreshes":710},"l)"
+    R"(ocked_rows":711,"defense_time":712,"integrity_enabled":true,"integ)"
+    R"(rity_config":{"scheme":0,"group_size":720,"recovery":0},"integrity)"
+    R"(":{"passes":721,"scrub_reads":722,"scrub_read_bytes":723,"denied_a)"
+    R"(ccesses":724,"correction_writes":725,"verified_groups":726,"detect)"
+    R"(ions":727,"corrected_bits":728,"zeroed_groups":729,"zeroed_corrupt)"
+    R"(_bytes":730,"checksum_repairs":731,"uncorrectable":732,"unrecovera)"
+    R"(ble_faults":733,"first_detection_at":734},"integrity_audit":{"corr)"
+    R"(upt_bytes":735,"missed_bytes":736},"faults_enabled":true,"faults":)"
+    R"({"events":741,"retention_faults":742,"transient_faults":743,"stuck)"
+    R"(_cells":744,"stuck_overrides":745,"lock_evictions":746,"remap_faul)"
+    R"(ts":747,"checksum_faults":748},"degraded":true,"timed":true,"refre)"
+    R"(sh":{"refs_issued":751,"ref_busy_ps":752,"max_ref_slip_ps":753},"r)"
+    R"(esilience_enabled":true,"resilience":{"strikes":761,"retired_rows")"
+    R"(:762,"spares_total":763,"spares_remaining":764,"remap_reads":765,")"
+    R"(rematerialized_bytes":766,"retires_denied":767},"channel_health":[)"
+    R"(1,2],"chaos_enabled":true,"availability":{"offered":771,"served":7)"
+    R"(72,"shed":773,"failed":774,"redirected":775,"time_in_degraded":776)"
+    R"(,"first_fault_at":777,"restored_at":778,"mttr":779,"restored":true)"
+    R"(}})"
+    "\t#crc32:32ea1da2";
+
+const char* const kBfaPinLine =
+    R"({"kind":"bfa","name":"pin/bfa","status":"ok","error":"","accuracy")"
+    R"(:["0x1.cp-1","0x1.4p-1","0x1p-1"],"flips_landed":801,"flips_blocke)"
+    R"(d":802,"gate_attempts":803,"gate_landed":804,"test_accuracy_after")"
+    R"(:"0x1.8p-2","integrity_enabled":true,"integrity_config":{"scheme":)"
+    R"(1,"group_size":810,"recovery":2},"integrity":{"verified_groups":81)"
+    R"(1,"detections":812,"corrected_bits":813,"zeroed_groups":814,"zeroe)"
+    R"(d_corrupt_bytes":815,"checksum_repairs":816,"uncorrectable":817},")"
+    R"(integrity_audit":{"corrupt_bytes":818,"missed_bytes":819},"accurac)"
+    R"(y_before_recovery":"0x1p-2","recovered_accuracy":"0x1.ap-1"})"
+    "\t#crc32:672da432";
+
+std::string hex(std::uint32_t crc) {
+  char buf[12];
+  std::snprintf(buf, sizeof buf, "%08x", crc);
+  return buf;
+}
+
+template <typename Result>
+std::string report_digest(const Result& r) {
+  return hex(dl::crc32(scenario::to_json(r).dump()));
+}
+
+/// `journal` holds the three schema-pin results; each renders to its
+/// pinned report digest.
+void expect_pinned(const CampaignJournal& journal) {
+  EXPECT_EQ(journal.crc_mismatches(), 0u);
+  EXPECT_EQ(journal.loaded(), 3u);
+  const auto* hammer = journal.find_hammer("pin/hammer");
+  const auto* serve = journal.find_serve("pin/serve");
+  const auto* bfa = journal.find_bfa("pin/bfa");
+  ASSERT_NE(hammer, nullptr);
+  ASSERT_NE(serve, nullptr);
+  ASSERT_NE(bfa, nullptr);
+  EXPECT_EQ(report_digest(*hammer), hex(schema_pins::kHammerCrc));
+  EXPECT_EQ(report_digest(*serve), hex(schema_pins::kServeCrc));
+  EXPECT_EQ(report_digest(*bfa), hex(schema_pins::kBfaCrc));
+}
+
+TEST(Journal, OlderPinnedLinesLoadToThePinnedReports) {
+  const std::string path = journal_path("pins_older");
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << kHammerPinLine << '\n' << kServePinLine << '\n' << kBfaPinLine
+        << '\n';
+  }
+  expect_pinned(CampaignJournal(path));
+  std::remove(path.c_str());
+}
+
+TEST(Journal, PinnedResultsRoundTrip) {
+  const std::string path = journal_path("pins_round_trip");
+  {
+    CampaignJournal journal(path);
+    journal.record(schema_pins::hammer());
+    journal.record(schema_pins::serve());
+    journal.record(schema_pins::bfa());
+  }
+  expect_pinned(CampaignJournal(path));
   std::remove(path.c_str());
 }
 

@@ -129,4 +129,31 @@ TEST(JsonParse, TornJournalLineIsRejected) {
   EXPECT_NO_THROW((void)Value::parse(line));
 }
 
+TEST(JsonParse, NestingDepthIsCapped) {
+  // Deep enough to overflow the stack if each level recursed unchecked.
+  for (const char open : {'[', '{'}) {
+    std::string deep;
+    for (int i = 0; i < 50'000; ++i) deep += open == '[' ? "[" : "{\"a\":";
+    EXPECT_THROW((void)Value::parse(deep), dl::Error) << open;
+  }
+  // A report-shaped document: report -> campaign list -> campaign ->
+  // channel list -> channel -> tenant list -> tenant -> latency block.
+  const Value report = Value::parse(
+      R"({"serve_campaigns":[{"channels":[{"tenants":[{"queue_latency":)"
+      R"({"p99_ns":1.5}}]}]}]})");
+  EXPECT_EQ(report.at("serve_campaigns")
+                .item(0)
+                .at("channels")
+                .item(0)
+                .at("tenants")
+                .item(0)
+                .at("queue_latency")
+                .at("p99_ns")
+                .as_double(),
+            1.5);
+  // Well past any real document, and still under the cap.
+  EXPECT_NO_THROW(
+      (void)Value::parse(std::string(100, '[') + std::string(100, ']')));
+}
+
 }  // namespace

@@ -72,8 +72,8 @@ TEST_F(SequencerTest, SwapConsumesSixActivations) {
   seq.load_reg(kRegBuffer, 63);
   seq.run(swap_program());
   // 3 RowClones x 2 ACTs each.
-  EXPECT_EQ(ctrl.stats().get("activates"), 6.0);
-  EXPECT_EQ(ctrl.stats().get("rowclones"), 3.0);
+  EXPECT_EQ(ctrl.counters().value(Counter::kActivates), 6.0);
+  EXPECT_EQ(ctrl.counters().value(Counter::kRowClones), 3.0);
 }
 
 TEST_F(SequencerTest, BnezLoopRepeats) {
@@ -133,7 +133,7 @@ TEST_F(SequencerTest, ErrorCorruptsDestinationRow) {
   broken.load_reg(kRegBuffer, 63);
   const auto res = broken.run(swap_program());
   EXPECT_EQ(res.copy_errors, 3u);
-  EXPECT_EQ(ctrl.stats().get("rowclone_corruptions"), 3.0);
+  EXPECT_EQ(ctrl.counters().value(Counter::kRowCloneCorruptions), 3.0);
 }
 
 TEST_F(SequencerTest, EncodedProgramExecutes) {

@@ -88,7 +88,7 @@ TEST_F(ShadowTest, ShuffleLatencyIsAccounted) {
   ctrl.add_listener(&shadow);
   for (int i = 0; i < 50; ++i) ctrl.hammer(ctrl.mapper().row_base(20));
   EXPECT_GT(ctrl.defense_time(), 0);
-  EXPECT_GE(ctrl.stats().get("rowclones"), 3.0);
+  EXPECT_GE(ctrl.counters().value(Counter::kRowClones), 3.0);
 }
 
 TEST_F(ShadowTest, WindowResetClearsCounts) {
