@@ -25,7 +25,7 @@ dl::core::SystemConfig system_config() {
 
 void run(bool with_locker) {
   using namespace dl;
-  core::DramLockerSystem sys(system_config());
+  core::Fabric sys(system_config());
 
   // Victim: one page of model data at a known virtual address.
   auto victim_space = sys.make_address_space();

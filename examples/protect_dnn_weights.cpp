@@ -31,7 +31,7 @@ dl::core::SystemConfig system_config() {
 double attack_once(bool with_locker, dl::nn::Model& model,
                    dl::nn::QuantizedModel& qmodel,
                    const dl::nn::Dataset& sample) {
-  dl::core::DramLockerSystem sys(system_config());
+  dl::core::Fabric sys(system_config());
   auto space = sys.make_address_space();
   auto binding = sys.make_weight_binding(*space, qmodel, 0x100000);
   binding.upload();

@@ -16,7 +16,7 @@ int main() {
   // 1. A simulated DRAM system (DDR4 timing, RowHammer threshold 10k).
   core::SystemConfig config;
   config.disturbance.t_rh = 10000;
-  core::DramLockerSystem sys(config);
+  core::Fabric sys(config);
 
   // 2. Write data we care about into row 100.
   const std::array<std::uint8_t, 11> secret{"top-secret"};

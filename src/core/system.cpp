@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <string>
-#include <utility>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 #include "traffic/sharding.hpp"
 
 namespace dl::core {
@@ -63,18 +61,10 @@ dl::dram::CounterBlock FabricView::counter_totals() const {
   for (const auto& ch : *chs_) {
     for (std::size_t i = 0; i < dl::dram::kNumCounters; ++i) {
       const auto c = static_cast<dl::dram::Counter>(i);
-      total.add(c, ch->ctrl->counters().value(c));
+      total.add(c, ch->ctrl.counters().value(c));
     }
   }
   return total;
-}
-
-std::uint32_t FabricView::healthy_channels() const {
-  std::uint32_t n = 0;
-  for (const auto& ch : *chs_) {
-    if (ch->health != dl::resilience::ChannelHealth::kOffline) ++n;
-  }
-  return n;
 }
 
 Fabric::Fabric(SystemConfig config)
@@ -85,27 +75,23 @@ Fabric::Fabric(SystemConfig config)
                   config.interleave),
       rng_(config.seed) {
   channels_.reserve(config_.geometry.channels);
+  frames_.reserve(config_.geometry.channels);
   for (std::uint32_t c = 0; c < config_.geometry.channels; ++c) {
-    auto ch = std::make_unique<detail::FabricChannel>();
-    ch->ctrl = std::make_unique<dl::dram::Controller>(
-        channel_geometry_, config_.timing, config_.map_scheme);
-    ch->ctrl->set_timing_spec(config_.timing_model);
     // One split per channel in channel order: channel 0 of any fabric draws
     // the same stream the pre-fabric single-channel system drew.
-    ch->disturbance = std::make_unique<dl::rowhammer::DisturbanceModel>(
-        *ch->ctrl, config_.disturbance, rng_.split());
-    ch->ctrl->add_listener(ch->disturbance.get());
-    ch->frames = std::make_unique<dl::sys::FrameAllocator>(channel_geometry_);
-    channels_.push_back(std::move(ch));
+    channels_.push_back(std::make_unique<Channel>(
+        channel_geometry_, config_.timing, config_.timing_model,
+        config_.disturbance, rng_.split(), config_.map_scheme));
+    frames_.emplace_back(channel_geometry_);
   }
 }
 
-detail::FabricChannel& Fabric::channel_at(ChannelId c) {
+Channel& Fabric::channel_at(ChannelId c) {
   DL_REQUIRE(c < channels_.size(), "channel out of range");
   return *channels_[c];
 }
 
-const detail::FabricChannel& Fabric::channel_at(ChannelId c) const {
+const Channel& Fabric::channel_at(ChannelId c) const {
   DL_REQUIRE(c < channels_.size(), "channel out of range");
   return *channels_[c];
 }
@@ -120,23 +106,8 @@ dl::dram::AccessResult Fabric::read(dl::dram::PhysAddr addr,
     DL_REQUIRE(ga.byte + out.size() <= fabric_map_.row_bytes(),
                "fabric access must not cross a row-interleave boundary");
   }
-  auto& ch = channel_at(ga.channel);
-  const dl::dram::PhysAddr local = fabric_map_.local_addr(ga);
-  if (ch.health == dl::resilience::ChannelHealth::kOffline) {
-    const dl::dram::GlobalRowId local_row = ch.ctrl->mapper().row_of(local);
-    if (ch.mirrored.count(local_row) != 0) {
-      // Mirrored (protected) region: serve from the replica's copy, which
-      // lives at the same channel-local address.  The read is accounted on
-      // the replica — it's the one doing the work.
-      auto& rep = channel_at(replica_of(ga.channel));
-      const auto res = rep.ctrl->read(local, out, can_unlock);
-      rep.ctrl->counters().add(dl::dram::Counter::kFailoverReads);
-      return res;
-    }
-    return dl::dram::AccessResult{.granted = false, .row_hit = false,
-                                  .latency = 0};
-  }
-  return ch.ctrl->read(local, out, can_unlock);
+  return channel_at(ga.channel).ctrl.read(fabric_map_.local_addr(ga), out,
+                                         can_unlock);
 }
 
 dl::dram::AccessResult Fabric::write(dl::dram::PhysAddr addr,
@@ -147,51 +118,15 @@ dl::dram::AccessResult Fabric::write(dl::dram::PhysAddr addr,
     DL_REQUIRE(ga.byte + in.size() <= fabric_map_.row_bytes(),
                "fabric access must not cross a row-interleave boundary");
   }
-  auto& ch = channel_at(ga.channel);
-  const dl::dram::PhysAddr local = fabric_map_.local_addr(ga);
-  const bool offline = ch.health == dl::resilience::ChannelHealth::kOffline;
-  if (ch.mirrored.empty()) {
-    if (offline) {
-      // Unmirrored write to a dead channel: explicit error, never a silent
-      // drop into a void.
-      ch.ctrl->counters().add(dl::dram::Counter::kFailedWrites);
-      return dl::dram::AccessResult{.granted = false, .row_hit = false,
-                                    .latency = 0};
-    }
-    return ch.ctrl->write(local, in, can_unlock);
-  }
-  const dl::dram::GlobalRowId local_row = ch.ctrl->mapper().row_of(local);
-  const bool mirrored = ch.mirrored.count(local_row) != 0;
-  if (offline) {
-    if (!mirrored) {
-      ch.ctrl->counters().add(dl::dram::Counter::kFailedWrites);
-      return dl::dram::AccessResult{.granted = false, .row_hit = false,
-                                    .latency = 0};
-    }
-    // Mirrored write while the owner is down lands on the replica so the
-    // protected copy stays current for when the owner is restored.
-    return channel_at(replica_of(ga.channel)).ctrl->write(local, in,
-                                                          can_unlock);
-  }
-  const auto res = ch.ctrl->write(local, in, can_unlock);
-  if (mirrored && res.granted) {
-    // Write-through: the replica's copy must track the primary, and that
-    // bandwidth is the real cost of mirroring, so it stays accounted.
-    channel_at(replica_of(ga.channel)).ctrl->write(local, in, can_unlock);
-  }
-  return res;
+  return channel_at(ga.channel).ctrl.write(fabric_map_.local_addr(ga), in,
+                                          can_unlock);
 }
 
 dl::dram::AccessResult Fabric::hammer(dl::dram::PhysAddr addr,
                                       bool can_unlock) {
   const auto ga = fabric_map_.decode(addr);
-  auto& ch = channel_at(ga.channel);
-  if (ch.health == dl::resilience::ChannelHealth::kOffline) {
-    // No failover for ACT-only traffic: a dead channel cannot be hammered.
-    return dl::dram::AccessResult{.granted = false, .row_hit = false,
-                                  .latency = 0};
-  }
-  return ch.ctrl->hammer(fabric_map_.local_addr(ga), can_unlock);
+  return channel_at(ga.channel).ctrl.hammer(fabric_map_.local_addr(ga),
+                                            can_unlock);
 }
 
 dl::dram::PhysAddr Fabric::row_base(dl::dram::GlobalRowId fabric_row) const {
@@ -200,7 +135,7 @@ dl::dram::PhysAddr Fabric::row_base(dl::dram::GlobalRowId fabric_row) const {
   // The channel's address map decides where the logical row lives in the
   // channel-local address space; re-encode that slab as a fabric address.
   const dl::dram::PhysAddr local_base =
-      channel_at(c).ctrl->mapper().row_base(local);
+      channel_at(c).ctrl.mapper().row_base(local);
   const auto slab =
       static_cast<dl::dram::GlobalRowId>(local_base / fabric_map_.row_bytes());
   return fabric_map_.encode(dl::dram::GlobalAddress{
@@ -213,12 +148,12 @@ dl::dram::PhysAddr Fabric::row_base(dl::dram::GlobalRowId fabric_row) const {
 dl::dram::GlobalRowId Fabric::row_of(dl::dram::PhysAddr fabric_addr) const {
   const auto ga = fabric_map_.decode(fabric_addr);
   const dl::dram::GlobalRowId local =
-      channel_at(ga.channel).ctrl->mapper().row_of(fabric_map_.local_addr(ga));
+      channel_at(ga.channel).ctrl.mapper().row_of(fabric_map_.local_addr(ga));
   return fabric_map_.fabric_row(ga.channel, local);
 }
 
 void Fabric::advance_time(Picoseconds delta) {
-  for (auto& ch : channels_) ch->ctrl->advance_time(delta);
+  for (auto& ch : channels_) ch->ctrl.advance_time(delta);
 }
 
 // -- experiment drivers -------------------------------------------------------
@@ -239,29 +174,30 @@ dl::rowhammer::HammerResult Fabric::hammer_attack(
     std::uint64_t stop_after_flips) {
   const ChannelId c = fabric_map_.channel_of(fabric_victim_row);
   auto& ch = channel_at(c);
-  dl::rowhammer::HammerAttacker attacker(*ch.ctrl, *ch.disturbance);
+  dl::rowhammer::HammerAttacker attacker(ch.ctrl, ch.disturbance);
   return attacker.attack(fabric_map_.local_row(fabric_victim_row), pattern,
                          act_budget, stop_after_flips);
 }
 
 dl::rowhammer::DisturbanceModel& Fabric::disturbance(ChannelId c) {
-  return *channel_at(c).disturbance;
+  return channel_at(c).disturbance;
 }
 
 dl::sys::FrameAllocator& Fabric::frames(ChannelId c) {
-  return *channel_at(c).frames;
+  DL_REQUIRE(c < frames_.size(), "channel out of range");
+  return frames_[c];
 }
 
 std::unique_ptr<dl::sys::AddressSpace> Fabric::make_address_space(
     ChannelId c) {
-  auto& ch = channel_at(c);
-  return std::make_unique<dl::sys::AddressSpace>(*ch.ctrl, *ch.frames);
+  return std::make_unique<dl::sys::AddressSpace>(channel_at(c).ctrl,
+                                                 frames(c));
 }
 
 dl::attack::WeightBinding Fabric::make_weight_binding(
     dl::sys::AddressSpace& space, dl::nn::QuantizedModel& qmodel,
     dl::sys::VirtAddr base_va, ChannelId c) {
-  return dl::attack::WeightBinding(*channel_at(c).ctrl, space, qmodel,
+  return dl::attack::WeightBinding(channel_at(c).ctrl, space, qmodel,
                                    base_va);
 }
 
@@ -269,14 +205,14 @@ dl::attack::HammerFlipGate Fabric::make_hammer_gate(
     dl::attack::WeightBinding& binding, std::uint64_t act_budget,
     dl::rowhammer::HammerPattern pattern, ChannelId c) {
   auto& ch = channel_at(c);
-  return dl::attack::HammerFlipGate(*ch.ctrl, *ch.disturbance, binding,
+  return dl::attack::HammerFlipGate(ch.ctrl, ch.disturbance, binding,
                                     act_budget, pattern);
 }
 
 dl::attack::PageTableAttack Fabric::make_page_table_attack(
     dl::attack::PtaConfig config, ChannelId c) {
   auto& ch = channel_at(c);
-  return dl::attack::PageTableAttack(*ch.ctrl, *ch.disturbance, *ch.frames,
+  return dl::attack::PageTableAttack(ch.ctrl, ch.disturbance, frames(c),
                                      config, rng_.split());
 }
 
@@ -288,9 +224,9 @@ dl::defense::DramLocker& Fabric::enable_locker(
     dl::defense::DramLockerConfig config) {
   DL_REQUIRE(channels_.front()->locker == nullptr, "locker already enabled");
   for (auto& ch : channels_) {
-    ch->locker = std::make_unique<dl::defense::DramLocker>(*ch->ctrl, config,
+    ch->locker = std::make_unique<dl::defense::DramLocker>(ch->ctrl, config,
                                                            rng_.split());
-    ch->ctrl->set_gate(ch->locker.get());
+    ch->ctrl.set_gate(ch->locker.get());
   }
   return *channels_.front()->locker;
 }
@@ -298,96 +234,31 @@ dl::defense::DramLocker& Fabric::enable_locker(
 dl::defense::Shadow& Fabric::enable_shadow(dl::defense::ShadowConfig config) {
   DL_REQUIRE(channels_.front()->shadow == nullptr, "shadow already enabled");
   for (auto& ch : channels_) {
-    ch->shadow = std::make_unique<dl::defense::Shadow>(*ch->ctrl, config,
+    ch->shadow = std::make_unique<dl::defense::Shadow>(ch->ctrl, config,
                                                        rng_.split());
-    ch->ctrl->add_listener(ch->shadow.get());
+    ch->ctrl.add_listener(ch->shadow.get());
   }
   return *channels_.front()->shadow;
 }
 
 void Fabric::disable_gate() {
-  for (auto& ch : channels_) ch->ctrl->set_gate(nullptr);
+  for (auto& ch : channels_) ch->ctrl.set_gate(nullptr);
 }
 
 // -- traffic ------------------------------------------------------------------
 
 FabricReport Fabric::serve(std::vector<dl::traffic::StreamSpec> tenants,
                            const dl::traffic::SchedulerConfig& scheduler) {
-  const auto rosters = dl::traffic::shard_tenants(fabric_map_, tenants);
+  Rosters rosters = dl::traffic::shard_tenants(fabric_map_, tenants);
   FabricReport report;
   report.channels.resize(channels_.size());
-  // One engine per channel; channels share no mutable state, so the fabric
-  // fans out across them (grain 1 = one channel per chunk) and results are
-  // identical for any DL_THREADS value.
-  dl::parallel::parallel_for(
-      0, channels_.size(), 1,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t c = begin; c < end; ++c) {
-          dl::traffic::TrafficEngine engine(*channels_[c]->ctrl, rosters[c],
-                                            scheduler);
-          report.channels[c] = engine.run();
-        }
-      });
-  // Merge in channel order: every channel carries the full tenant roster
-  // (stubs where a tenant has no local share), so stats merge element-wise.
-  report.merged.tenants = report.channels.front().tenants;
-  report.merged.serviced = report.channels.front().serviced;
-  report.merged.elapsed = report.channels.front().elapsed;
-  for (std::size_t c = 1; c < report.channels.size(); ++c) {
-    const auto& r = report.channels[c];
-    DL_REQUIRE(r.tenants.size() == report.merged.tenants.size(),
-               "channel rosters must be identical");
-    for (std::size_t t = 0; t < r.tenants.size(); ++t) {
-      report.merged.tenants[t].merge(r.tenants[t]);
-    }
-    report.merged.serviced += r.serviced;
-    // Channels run concurrently; the fabric's makespan is the slowest
-    // channel's clock, not the sum.
-    report.merged.elapsed = std::max(report.merged.elapsed, r.elapsed);
-  }
+  // Each round report lands in its (empty) channel total as is.  Every
+  // channel carries the full tenant roster (stubs where a tenant has no
+  // local share), so the merge is element-wise.
+  run_round(channels_, rosters, scheduler, {}, tenants.size(),
+            report.channels);
+  report.merged = merge_channels(report.channels);
   return report;
-}
-
-// -- resilience / failover ----------------------------------------------------
-
-std::size_t Fabric::mirror_physical_range(dl::dram::PhysAddr base,
-                                          std::uint64_t bytes) {
-  DL_REQUIRE(channels() > 1, "mirroring needs a replica channel");
-  DL_REQUIRE(bytes > 0, "range must be non-empty");
-  const std::uint32_t row_bytes = fabric_map_.row_bytes();
-  std::size_t mirrored = 0;
-  std::vector<std::uint8_t> buf(row_bytes);
-  for (dl::dram::PhysAddr addr = base - (base % row_bytes);
-       addr < base + bytes; addr += row_bytes) {
-    const auto ga = fabric_map_.decode(addr);
-    auto& ch = channel_at(ga.channel);
-    const dl::dram::GlobalRowId local_row =
-        ch.ctrl->mapper().row_of(fabric_map_.local_addr(ga));
-    if (!ch.mirrored.insert(local_row).second) continue;
-    // Seed the replica's copy from the owner's current contents.  Like
-    // scrubber registration this is setup, not accounted traffic — a
-    // deployment mirrors before the attack window opens.
-    auto& rep = channel_at(replica_of(ga.channel));
-    ch.ctrl->data().read(ch.ctrl->indirection().to_physical(local_row), 0,
-                         buf);
-    rep.ctrl->data().write(rep.ctrl->indirection().to_physical(local_row), 0,
-                           buf);
-    ++mirrored;
-  }
-  return mirrored;
-}
-
-void Fabric::kill_channel(ChannelId c) {
-  channel_at(c).health = dl::resilience::ChannelHealth::kOffline;
-}
-
-void Fabric::restore_channel(ChannelId c) {
-  channel_at(c).health = dl::resilience::ChannelHealth::kHealthy;
-}
-
-void Fabric::set_channel_health(ChannelId c,
-                                dl::resilience::ChannelHealth h) {
-  channel_at(c).health = h;
 }
 
 // -- protection API -----------------------------------------------------------
@@ -403,7 +274,7 @@ std::size_t Fabric::protect_local_range(ChannelId c,
   // Walk the overlapped rows through the mapper to stay scheme-agnostic.
   for (dl::dram::PhysAddr addr = local_base - (local_base % row_bytes);
        addr < local_base + bytes; addr += row_bytes) {
-    locked += ch.locker->protect_data_row(ch.ctrl->mapper().row_of(addr));
+    locked += ch.locker->protect_data_row(ch.ctrl.mapper().row_of(addr));
   }
   return locked;
 }
@@ -421,7 +292,7 @@ std::size_t Fabric::protect_physical_range(dl::dram::PhysAddr base,
     const auto ga = fabric_map_.decode(addr);
     auto& ch = channel_at(ga.channel);
     locked += ch.locker->protect_data_row(
-        ch.ctrl->mapper().row_of(fabric_map_.local_addr(ga)));
+        ch.ctrl.mapper().row_of(fabric_map_.local_addr(ga)));
   }
   return locked;
 }

@@ -1,10 +1,10 @@
 // core::Fabric: the top-level facade of the library — a sharded
 // multi-channel DRAM fabric.
 //
-// A Fabric owns N identical channels; each channel is a full single-channel
-// DRAM stack: its own Controller, RowHammer disturbance model, OS-lite
-// frame allocator, and (optionally) defense state (DRAM-Locker lock table /
-// SHADOW shuffler).  A fabric-global physical address space interleaves
+// A Fabric owns N identical channels; each channel is a core::Channel (its
+// own Controller, RowHammer disturbance model and optional defense state:
+// DRAM-Locker lock table / SHADOW shuffler) plus an OS-lite frame
+// allocator.  A fabric-global physical address space interleaves
 // across the channels under SystemConfig::interleave (dram::FabricMapper),
 // and multi-tenant traffic fans out over dl::parallel with one FR-FCFS
 // engine per channel:
@@ -29,25 +29,19 @@
 // construction; serve() re-derives tenant sub-streams per channel), and
 // serve() merges per-channel reports in channel order — results are
 // byte-identical for any DL_THREADS value.  At channels = 1 the fabric is
-// bit-compatible with the pre-fabric DramLockerSystem.
+// bit-compatible with the pre-fabric single-channel system.
 #pragma once
 
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "attack/hammer_gate.hpp"
 #include "attack/pta.hpp"
 #include "attack/weight_binding.hpp"
-#include "common/json.hpp"
 #include "common/rng.hpp"
-#include "defense/dram_locker.hpp"
-#include "defense/shadow.hpp"
-#include "dram/controller.hpp"
+#include "core/channel.hpp"
 #include "dram/fabric.hpp"
-#include "resilience/resilience.hpp"
 #include "rowhammer/attacker.hpp"
-#include "rowhammer/disturbance.hpp"
 #include "sys/address_space.hpp"
 #include "sys/allocator.hpp"
 #include "traffic/engine.hpp"
@@ -85,59 +79,38 @@ struct SystemConfig {
 /// as status:"failed".
 void validate(const SystemConfig& config);
 
-namespace detail {
-
-/// One channel's component stack.  Owned by the Fabric; views and the
-/// make_* factories reference it.
-struct FabricChannel {
-  std::unique_ptr<dl::dram::Controller> ctrl;
-  std::unique_ptr<dl::rowhammer::DisturbanceModel> disturbance;
-  std::unique_ptr<dl::sys::FrameAllocator> frames;
-  std::unique_ptr<dl::defense::DramLocker> locker;
-  std::unique_ptr<dl::defense::Shadow> shadow;
-  /// Self-healing ladder rung (see resilience::ChannelHealth); offline
-  /// channels fail writes and reroute mirrored reads to the replica.
-  dl::resilience::ChannelHealth health =
-      dl::resilience::ChannelHealth::kHealthy;
-  /// Channel-local logical rows with a live replica on channel (c+1)%N.
-  std::unordered_set<dl::dram::GlobalRowId> mirrored;
-};
-
-}  // namespace detail
-
 /// Read-only view of one channel: topology, counters, clocks, mapper.
 /// Everything a scheduler, report, or test may *query*; mutation goes
 /// through the Fabric facade.
 class ChannelView {
  public:
-  ChannelView(const detail::FabricChannel& ch, ChannelId id)
-      : ch_(&ch), id_(id) {}
+  ChannelView(const Channel& ch, ChannelId id) : ch_(&ch), id_(id) {}
 
   [[nodiscard]] ChannelId id() const { return id_; }
   [[nodiscard]] const dl::dram::Geometry& geometry() const {
-    return ch_->ctrl->geometry();
+    return ch_->ctrl.geometry();
   }
   [[nodiscard]] dl::dram::Topology topology() const {
-    return ch_->ctrl->topology();
+    return ch_->ctrl.topology();
   }
   [[nodiscard]] const dl::dram::AddressMapper& mapper() const {
-    return ch_->ctrl->mapper();
+    return ch_->ctrl.mapper();
   }
   [[nodiscard]] const dl::dram::RowIndirection& indirection() const {
-    return ch_->ctrl->indirection();
+    return ch_->ctrl.indirection();
   }
   [[nodiscard]] const dl::dram::CounterBlock& counters() const {
-    return ch_->ctrl->counters();
+    return ch_->ctrl.counters();
   }
-  [[nodiscard]] Picoseconds now() const { return ch_->ctrl->now(); }
+  [[nodiscard]] Picoseconds now() const { return ch_->ctrl.now(); }
   [[nodiscard]] Picoseconds defense_time() const {
-    return ch_->ctrl->defense_time();
+    return ch_->ctrl.defense_time();
   }
   [[nodiscard]] std::uint64_t refresh_windows() const {
-    return ch_->ctrl->refresh_windows();
+    return ch_->ctrl.refresh_windows();
   }
   [[nodiscard]] const dl::rowhammer::DisturbanceModel& disturbance() const {
-    return *ch_->disturbance;
+    return ch_->disturbance;
   }
   [[nodiscard]] const dl::defense::DramLocker* locker() const {
     return ch_->locker.get();
@@ -145,16 +118,9 @@ class ChannelView {
   [[nodiscard]] const dl::defense::Shadow* shadow() const {
     return ch_->shadow.get();
   }
-  [[nodiscard]] dl::resilience::ChannelHealth health() const {
-    return ch_->health;
-  }
-  /// Channel-local logical rows mirrored onto the replica channel.
-  [[nodiscard]] std::size_t mirrored_rows() const {
-    return ch_->mirrored.size();
-  }
 
  private:
-  const detail::FabricChannel* ch_;
+  const Channel* ch_;
   ChannelId id_;
 };
 
@@ -162,8 +128,7 @@ class ChannelView {
 /// aggregates.
 class FabricView {
  public:
-  FabricView(const std::vector<std::unique_ptr<detail::FabricChannel>>& chs,
-             const dl::dram::FabricMapper& mapper)
+  FabricView(const Channels& chs, const dl::dram::FabricMapper& mapper)
       : chs_(&chs), mapper_(&mapper) {}
 
   [[nodiscard]] std::uint32_t channels() const {
@@ -178,11 +143,8 @@ class FabricView {
   /// Sum of every channel's typed counters (enum order).
   [[nodiscard]] dl::dram::CounterBlock counter_totals() const;
 
-  /// Channels currently serving (health != kOffline).
-  [[nodiscard]] std::uint32_t healthy_channels() const;
-
  private:
-  const std::vector<std::unique_ptr<detail::FabricChannel>>* chs_;
+  const Channels* chs_;
   const dl::dram::FabricMapper* mapper_;
 };
 
@@ -313,36 +275,12 @@ class Fabric {
 
   /// Runs a fabric-level multi-tenant traffic mix: tenants are declared in
   /// fabric row coordinates, sharded per channel (traffic::shard_tenants),
-  /// and each channel drains its own FR-FCFS engine in parallel over
-  /// dl::parallel.  Active defenses stay on the accounted path.  Throws
-  /// dl::Error on a roster that violates the fabric layout (range beyond
-  /// the row space, invalid channel pin).
+  /// and one core::run_round drains each channel's FR-FCFS engine in
+  /// parallel (default admission, no scrub tenant).  Active defenses stay
+  /// on the accounted path.  Throws dl::Error on a roster that violates
+  /// the fabric layout (range beyond the row space, invalid channel pin).
   FabricReport serve(std::vector<dl::traffic::StreamSpec> tenants,
                      const dl::traffic::SchedulerConfig& scheduler = {});
-
-  // -- resilience / failover --------------------------------------------------
-  // The self-healing ladder's fabric face: mirrored (protected) regions
-  // keep serving reads when their owning channel goes offline; everything
-  // else fails explicitly instead of silently reading stale bytes.
-
-  /// Mirrors every fabric row overlapped by [base, base+bytes) onto the
-  /// replica channel (c+1)%channels at the same channel-local row: the
-  /// replica's copy is seeded now (setup, unaccounted) and kept fresh by
-  /// write-through on subsequent fabric writes.  Requires channels > 1.
-  /// Returns rows mirrored.
-  std::size_t mirror_physical_range(dl::dram::PhysAddr base,
-                                    std::uint64_t bytes);
-
-  /// Marks a channel offline (chaos kill): reads of mirrored rows fail
-  /// over to the replica (kFailoverReads), every other access fails with
-  /// granted = false (writes also bump kFailedWrites).
-  void kill_channel(ChannelId c);
-
-  /// Returns a killed channel to service.
-  void restore_channel(ChannelId c);
-
-  /// Degrades/overrides a channel's health rung directly (scenario layer).
-  void set_channel_health(ChannelId c, dl::resilience::ChannelHealth h);
 
   // -- protection API ---------------------------------------------------------
 
@@ -364,23 +302,17 @@ class Fabric {
   dl::dram::Geometry channel_geometry_;  ///< config_.geometry at channels=1
   dl::dram::FabricMapper fabric_map_;
   dl::Rng rng_;
-  std::vector<std::unique_ptr<detail::FabricChannel>> channels_;
+  Channels channels_;
+  /// OS-lite frame allocator per channel (the process model is
+  /// fabric-only; campaigns have none).
+  std::vector<dl::sys::FrameAllocator> frames_;
 
-  [[nodiscard]] detail::FabricChannel& channel_at(ChannelId c);
-  [[nodiscard]] const detail::FabricChannel& channel_at(ChannelId c) const;
-
-  /// Failover target of channel `c` (the next channel, wrapping).
-  [[nodiscard]] ChannelId replica_of(ChannelId c) const {
-    return static_cast<ChannelId>((c + 1) % channels_.size());
-  }
+  [[nodiscard]] Channel& channel_at(ChannelId c);
+  [[nodiscard]] const Channel& channel_at(ChannelId c) const;
 
   /// Channel-local protect of one channel-local logical row range walk.
   std::size_t protect_local_range(ChannelId c, dl::dram::PhysAddr local_base,
                                   std::uint64_t bytes);
 };
-
-/// Pre-fabric name; the facade grew into the fabric in place, so existing
-/// single-channel call sites keep compiling unchanged.
-using DramLockerSystem = Fabric;
 
 }  // namespace dl::core

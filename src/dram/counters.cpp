@@ -27,8 +27,6 @@ const char* to_string(Counter c) {
     case Counter::kAutoRefreshes:       return "auto_refreshes";
     case Counter::kRetiredRows:         return "retired_rows";
     case Counter::kRemapReads:          return "remap_reads";
-    case Counter::kFailoverReads:       return "failover_reads";
-    case Counter::kFailedWrites:        return "failed_writes";
   }
   return "?";
 }

@@ -45,12 +45,10 @@ enum class Counter : std::uint8_t {
   // Self-healing fabric (resilience layer; see src/resilience/).
   kRetiredRows,         ///< rows retired onto spares (resilience::RowRetirer)
   kRemapReads,          ///< physical activations landing in the spare slab
-  kFailoverReads,       ///< mirrored reads rerouted off an offline channel
-  kFailedWrites,        ///< unmirrored writes failed on an offline channel
 };
 
 inline constexpr std::size_t kNumCounters =
-    static_cast<std::size_t>(Counter::kFailedWrites) + 1;
+    static_cast<std::size_t>(Counter::kRemapReads) + 1;
 
 /// The counter's name, as the ARCHITECTURE.md counter table lists it.
 [[nodiscard]] const char* to_string(Counter c);

@@ -9,8 +9,8 @@
 #include "common/fields.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "defense/row_swap.hpp"
-#include "defense/shadow.hpp"
+#include "core/channel.hpp"
+#include "core/system.hpp"
 #include "traffic/sharding.hpp"
 
 namespace dl::scenario {
@@ -139,10 +139,10 @@ std::string defense_label(const DefenseSpec& spec) {
 
 // ------------------------------------------------------------ run_one
 //
-// Every hammer and serve campaign runs on env.fabric.channels channel
-// stacks (one by default) sharing one flat fabric row space: tenant working
-// sets, protected rows and victim rows are fabric rows, sharded to their
-// owning channels.  The helpers below are shared by run_one and run_serve.
+// Every hammer and serve campaign runs on env.fabric.channels core::Channels
+// (one by default) sharing one flat fabric row space: tenant working sets,
+// protected rows and victim rows are fabric rows, sharded to their owning
+// channels.  The helpers below are shared by run_one and run_serve.
 
 namespace {
 
@@ -150,94 +150,88 @@ using dl::dram::ChannelId;
 using dl::traffic::StreamSpec;
 using dl::traffic::TrafficReport;
 
-/// Owns whichever defense the spec selects, wired into `ctrl`.
-struct DefenseInstance {
-  std::unique_ptr<dl::defense::TrrSampler> trr;
-  std::unique_ptr<dl::defense::CounterPerRow> counter_per_row;
-  std::unique_ptr<dl::defense::Graphene> graphene;
-  std::unique_ptr<dl::defense::CounterTree> counter_tree;
-  std::unique_ptr<dl::defense::Hydra> hydra;
-  std::unique_ptr<dl::defense::RowSwap> row_swap;
-  std::unique_ptr<dl::defense::Shadow> shadow;
-  std::unique_ptr<dl::defense::DramLocker> locker;
-
+/// Fills the channel's slot for the defense `spec` selects and wires it
+/// into the controller; DRAM-Locker also locks the neighbours of
+/// `protected_rows`.  Returns the rows locked.
+std::size_t install_defense(core::Channel& ch, const DefenseSpec& spec,
+                            const std::vector<GlobalRowId>& protected_rows) {
+  using Kind = DefenseSpec::Kind;
+  Controller& ctrl = ch.ctrl;
   std::size_t locked_rows = 0;
-
-  void install(const DefenseSpec& spec, Controller& ctrl,
-               const std::vector<GlobalRowId>& protected_rows) {
-    using Kind = DefenseSpec::Kind;
-    switch (spec.kind) {
-      case Kind::kNone:
-        break;
-      case Kind::kTrrSampler:
-        trr = std::make_unique<dl::defense::TrrSampler>(
-            ctrl, spec.sample_probability, spec.radius, dl::Rng(spec.seed));
-        ctrl.add_listener(trr.get());
-        break;
-      case Kind::kCounterPerRow:
-        counter_per_row = std::make_unique<dl::defense::CounterPerRow>(
-            ctrl, spec.threshold, spec.radius);
-        ctrl.add_listener(counter_per_row.get());
-        break;
-      case Kind::kGraphene:
-        graphene = std::make_unique<dl::defense::Graphene>(
-            ctrl, spec.threshold, spec.entries, spec.radius);
-        ctrl.add_listener(graphene.get());
-        break;
-      case Kind::kCounterTree:
-        counter_tree = std::make_unique<dl::defense::CounterTree>(
-            ctrl, spec.threshold, spec.group_rows, spec.radius);
-        ctrl.add_listener(counter_tree.get());
-        break;
-      case Kind::kHydra:
-        hydra = std::make_unique<dl::defense::Hydra>(
-            ctrl, spec.threshold, spec.group_rows, spec.radius);
-        ctrl.add_listener(hydra.get());
-        break;
-      case Kind::kRowSwap:
-        row_swap = std::make_unique<dl::defense::RowSwap>(
-            ctrl,
-            dl::defense::RowSwapConfig{.threshold = spec.threshold,
-                                       .lazy_unswap = spec.lazy_unswap,
-                                       .swap_budget = spec.swap_budget,
-                                       .degrade_radius = spec.radius},
-            dl::Rng(spec.seed));
-        ctrl.add_listener(row_swap.get());
-        break;
-      case Kind::kShadow:
-        shadow = std::make_unique<dl::defense::Shadow>(
-            ctrl, dl::defense::ShadowConfig{.threshold = spec.threshold},
-            dl::Rng(spec.seed));
-        ctrl.add_listener(shadow.get());
-        break;
-      case Kind::kDramLocker:
-        locker = std::make_unique<dl::defense::DramLocker>(ctrl, spec.locker,
-                                                           dl::Rng(spec.seed));
-        ctrl.set_gate(locker.get());
-        for (const GlobalRowId row : protected_rows) {
-          locked_rows += locker->protect_data_row(row);
-        }
-        break;
-    }
+  switch (spec.kind) {
+    case Kind::kNone:
+      break;
+    case Kind::kTrrSampler:
+      ch.trr = std::make_unique<dl::defense::TrrSampler>(
+          ctrl, spec.sample_probability, spec.radius, dl::Rng(spec.seed));
+      ctrl.add_listener(ch.trr.get());
+      break;
+    case Kind::kCounterPerRow:
+      ch.counter_per_row = std::make_unique<dl::defense::CounterPerRow>(
+          ctrl, spec.threshold, spec.radius);
+      ctrl.add_listener(ch.counter_per_row.get());
+      break;
+    case Kind::kGraphene:
+      ch.graphene = std::make_unique<dl::defense::Graphene>(
+          ctrl, spec.threshold, spec.entries, spec.radius);
+      ctrl.add_listener(ch.graphene.get());
+      break;
+    case Kind::kCounterTree:
+      ch.counter_tree = std::make_unique<dl::defense::CounterTree>(
+          ctrl, spec.threshold, spec.group_rows, spec.radius);
+      ctrl.add_listener(ch.counter_tree.get());
+      break;
+    case Kind::kHydra:
+      ch.hydra = std::make_unique<dl::defense::Hydra>(
+          ctrl, spec.threshold, spec.group_rows, spec.radius);
+      ctrl.add_listener(ch.hydra.get());
+      break;
+    case Kind::kRowSwap:
+      ch.row_swap = std::make_unique<dl::defense::RowSwap>(
+          ctrl,
+          dl::defense::RowSwapConfig{.threshold = spec.threshold,
+                                     .lazy_unswap = spec.lazy_unswap,
+                                     .swap_budget = spec.swap_budget,
+                                     .degrade_radius = spec.radius},
+          dl::Rng(spec.seed));
+      ctrl.add_listener(ch.row_swap.get());
+      break;
+    case Kind::kShadow:
+      ch.shadow = std::make_unique<dl::defense::Shadow>(
+          ctrl, dl::defense::ShadowConfig{.threshold = spec.threshold},
+          dl::Rng(spec.seed));
+      ctrl.add_listener(ch.shadow.get());
+      break;
+    case Kind::kDramLocker:
+      ch.locker = std::make_unique<dl::defense::DramLocker>(
+          ctrl, spec.locker, dl::Rng(spec.seed));
+      ctrl.set_gate(ch.locker.get());
+      for (const GlobalRowId row : protected_rows) {
+        locked_rows += ch.locker->protect_data_row(row);
+      }
+      break;
   }
+  return locked_rows;
+}
 
-  /// Adds the tracker and migration counters only hammer reports carry;
-  /// harvest_stacks() takes the DRAM-Locker stats and locked rows.
-  void harvest(HammerCampaignResult& r) const {
-    using dl::fields::merge;
-    if (trr != nullptr) merge(r.tracker, trr->stats());
-    if (counter_per_row != nullptr) merge(r.tracker, counter_per_row->stats());
-    if (graphene != nullptr) merge(r.tracker, graphene->stats());
-    if (counter_tree != nullptr) merge(r.tracker, counter_tree->stats());
-    if (hydra != nullptr) merge(r.tracker, hydra->stats());
-    if (row_swap != nullptr) {
-      r.swaps += row_swap->swaps();
-      r.unswaps += row_swap->unswaps();
-      r.degraded_migrations += row_swap->degraded();
-    }
-    if (shadow != nullptr) r.swaps += shadow->shuffles();
+/// Adds the tracker and migration counters only hammer reports carry;
+/// harvest_channels() takes the DRAM-Locker stats.
+void harvest_defense(const core::Channel& ch, HammerCampaignResult& r) {
+  using dl::fields::merge;
+  if (ch.trr != nullptr) merge(r.tracker, ch.trr->stats());
+  if (ch.counter_per_row != nullptr) {
+    merge(r.tracker, ch.counter_per_row->stats());
   }
-};
+  if (ch.graphene != nullptr) merge(r.tracker, ch.graphene->stats());
+  if (ch.counter_tree != nullptr) merge(r.tracker, ch.counter_tree->stats());
+  if (ch.hydra != nullptr) merge(r.tracker, ch.hydra->stats());
+  if (ch.row_swap != nullptr) {
+    r.swaps += ch.row_swap->swaps();
+    r.unswaps += ch.row_swap->unswaps();
+    r.degraded_migrations += ch.row_swap->degraded();
+  }
+  if (ch.shadow != nullptr) r.swaps += ch.shadow->shuffles();
+}
 
 /// Victim rows of a roster's hammer tenants, in roster order.
 std::vector<GlobalRowId> hammer_victims(const std::vector<StreamSpec>& tenants) {
@@ -317,28 +311,19 @@ std::unique_ptr<dl::resilience::RowRetirer> make_retirer(
   return retirer;
 }
 
-/// One channel of a campaign: controller, disturbance, defense, scrubber,
-/// retirer and fault injector, built in channel order so RNG sub-streams
-/// are reproducible.
-struct ChannelStack {
-  std::unique_ptr<Controller> ctrl;
-  std::unique_ptr<dl::rowhammer::DisturbanceModel> model;
-  DefenseInstance defense;
-  std::unique_ptr<dl::integrity::DramScrubber> scrubber;
-  std::unique_ptr<dl::resilience::RowRetirer> retirer;
-  std::unique_ptr<dl::faults::FaultInjector> injector;
-};
-
-using Stacks = std::vector<std::unique_ptr<ChannelStack>>;
-using Rosters = std::vector<std::vector<StreamSpec>>;
-
-/// Validates a campaign's fabric declaration and builds its mapper.
+/// Validates a campaign's fabric declaration and builds its mapper.  The
+/// fabric shape (channel count, per-channel geometry, interleave) goes
+/// through the same core::validate as a core::Fabric.
 dl::dram::FabricMapper fabric_mapper(const DramEnv& env) {
   DL_REQUIRE(env.geometry.channels == 1,
              "campaigns declare per-channel geometry "
              "(geometry.channels must stay 1; the channel count lives in "
              "env.fabric.channels)");
-  DL_REQUIRE(env.fabric.channels >= 1, "env.fabric.channels must be >= 1");
+  core::SystemConfig shape;
+  shape.geometry = env.geometry;
+  shape.geometry.channels = env.fabric.channels;
+  shape.interleave = env.fabric.interleave;
+  core::validate(shape);
   DL_REQUIRE(env.fabric.channel_defenses.empty() ||
                  env.fabric.channel_defenses.size() == env.fabric.channels,
              "env.fabric.channel_defenses must be empty or declare exactly "
@@ -368,18 +353,20 @@ std::vector<std::vector<GlobalRowId>> partition_rows(
   return local;
 }
 
-/// Builds a campaign's per-channel stacks, each attached in the order
-/// model -> defense -> scrubber -> retirer -> injector.  The integrity
-/// add-on is fabric-wide (taken from `base_defense`); per-channel defense
-/// overrides replace only the preventive mechanism.  The scrubber guards
-/// the declared protected rows, else the attackers' `victims`
-/// (deduplicated, order-preserving).  Fault targets
-/// (faults.target_base/target_rows) are interpreted channel-locally.
-Stacks build_channel_stacks(const DramEnv& env,
-                            const DefenseSpec& base_defense,
-                            const dl::dram::FabricMapper& mapper,
-                            const std::vector<GlobalRowId>& protected_rows,
-                            const std::vector<GlobalRowId>& victims) {
+/// Builds a campaign's channels in channel order, each attached in the
+/// order model -> defense -> scrubber -> retirer -> injector, and adds the
+/// rows DRAM-Locker locked to `locked_rows`.  The integrity add-on is
+/// fabric-wide (taken from `base_defense`); per-channel defense overrides
+/// replace only the preventive mechanism.  The scrubber guards the
+/// declared protected rows, else the attackers' `victims` (deduplicated,
+/// order-preserving).  Fault targets (faults.target_base/target_rows) are
+/// interpreted channel-locally.
+core::Channels build_channels(const DramEnv& env,
+                              const DefenseSpec& base_defense,
+                              const dl::dram::FabricMapper& mapper,
+                              const std::vector<GlobalRowId>& protected_rows,
+                              const std::vector<GlobalRowId>& victims,
+                              std::size_t& locked_rows) {
   const IntegritySpec& ispec = base_defense.integrity;
   const auto protected_local =
       partition_rows(mapper, protected_rows, "protected");
@@ -389,28 +376,24 @@ Stacks build_channel_stacks(const DramEnv& env,
           ? dedup_rows(protected_rows.empty() ? victims : protected_rows)
           : std::vector<GlobalRowId>{},
       "scrub");
-  Stacks stacks;
-  stacks.reserve(mapper.channels());
+  core::Channels channels;
+  channels.reserve(mapper.channels());
   for (ChannelId c = 0; c < mapper.channels(); ++c) {
-    auto s = std::make_unique<ChannelStack>();
-    s->ctrl = std::make_unique<Controller>(env.geometry, env.timing);
-    s->ctrl->set_timing_spec(env.timing_spec);
-    s->model = std::make_unique<dl::rowhammer::DisturbanceModel>(
-        *s->ctrl, env.disturbance,
+    auto ch = std::make_unique<core::Channel>(
+        env.geometry, env.timing, env.timing_spec, env.disturbance,
         dl::Rng(channel_seed(env.disturbance_seed, c)));
-    s->ctrl->add_listener(s->model.get());
     DefenseSpec dspec = env.fabric.channel_defenses.empty()
                             ? base_defense
                             : env.fabric.channel_defenses[c];
     dspec.seed = channel_seed(dspec.seed, c);
-    s->defense.install(dspec, *s->ctrl, protected_local[c]);
+    locked_rows += install_defense(*ch, dspec, protected_local[c]);
     if (ispec.enabled && !scrub_local[c].empty()) {
-      seed_scrub_rows(*s->ctrl, scrub_local[c]);
-      s->scrubber = std::make_unique<dl::integrity::DramScrubber>(
-          *s->ctrl, scrub_local[c], ispec.config);
+      seed_scrub_rows(ch->ctrl, scrub_local[c]);
+      ch->scrubber = std::make_unique<dl::integrity::DramScrubber>(
+          ch->ctrl, scrub_local[c], ispec.config);
     }
-    if (env.resilience.enabled() && s->scrubber != nullptr) {
-      s->retirer = make_retirer(*s->ctrl, env.resilience, *s->scrubber);
+    if (env.resilience.enabled() && ch->scrubber != nullptr) {
+      ch->retirer = make_retirer(ch->ctrl, env.resilience, *ch->scrubber);
     }
     // Fault injection attaches last, after the scrubber snapshot: the
     // stuck-at assertion in the injector's constructor lands *post*-
@@ -418,19 +401,19 @@ Stacks build_channel_stacks(const DramEnv& env,
     if (env.faults.enabled()) {
       dl::faults::FaultSpec fspec = env.faults;
       fspec.seed = channel_seed(fspec.seed, c);
-      s->injector =
-          std::make_unique<dl::faults::FaultInjector>(*s->ctrl, fspec);
-      if (s->defense.locker != nullptr) {
-        s->injector->attach_lock_table(&s->defense.locker->lock_table());
+      ch->injector =
+          std::make_unique<dl::faults::FaultInjector>(ch->ctrl, fspec);
+      if (ch->locker != nullptr) {
+        ch->injector->attach_lock_table(&ch->locker->lock_table());
       }
-      if (s->scrubber != nullptr) {
-        s->injector->attach_checksums(&s->scrubber->checksums());
+      if (ch->scrubber != nullptr) {
+        ch->injector->attach_checksums(&ch->scrubber->checksums());
       }
-      s->ctrl->add_listener(s->injector.get());
+      ch->ctrl.add_listener(ch->injector.get());
     }
-    stacks.push_back(std::move(s));
+    channels.push_back(std::move(ch));
   }
-  return stacks;
+  return channels;
 }
 
 /// Whether round (or cycle) `round` ends with a scrub sweep.
@@ -446,17 +429,19 @@ bool scrub_due(const IntegritySpec& ispec, std::uint64_t round) {
 /// rows, or an inert placeholder on a channel without any, so every roster
 /// (and the merged tenant table) keeps one shape.  It has a zero budget on
 /// rounds where no sweep is due.
-Rosters round_rosters(const dl::dram::FabricMapper& mapper,
-                      std::vector<StreamSpec> tenants, std::uint64_t round,
-                      const Stacks& stacks, const IntegritySpec& ispec) {
+core::Rosters round_rosters(const dl::dram::FabricMapper& mapper,
+                            std::vector<StreamSpec> tenants,
+                            std::uint64_t round,
+                            const core::Channels& channels,
+                            const IntegritySpec& ispec) {
   for (auto& t : tenants) {
     t.seed = dl::substream_seed(t.seed, /*epoch=*/3, round);
   }
-  Rosters rosters = dl::traffic::shard_tenants(mapper, tenants);
+  core::Rosters rosters = dl::traffic::shard_tenants(mapper, tenants);
   if (!ispec.enabled) return rosters;
   const bool due = scrub_due(ispec, round);
-  for (std::size_t c = 0; c < stacks.size(); ++c) {
-    const auto* scrubber = stacks[c]->scrubber.get();
+  for (std::size_t c = 0; c < channels.size(); ++c) {
+    const auto* scrubber = channels[c]->scrubber.get();
     auto spec = scrubber != nullptr
                     ? StreamSpec::scrub(scrubber->rows(),
                                         scrubber->chunk_bytes(),
@@ -468,92 +453,36 @@ Rosters round_rosters(const dl::dram::FabricMapper& mapper,
   return rosters;
 }
 
-/// Merges tenant tables element-wise (every channel and round runs the
-/// same sharded roster, so index i is the same tenant everywhere).
-void merge_tenants(std::vector<dl::traffic::TenantStats>& into,
-                   const std::vector<dl::traffic::TenantStats>& from) {
-  if (into.empty()) {
-    into = from;
-    return;
-  }
-  DL_REQUIRE(into.size() == from.size(), "tenant roster changed shape");
-  for (std::size_t i = 0; i < from.size(); ++i) into[i].merge(from[i]);
-}
-
-/// Runs one round's rosters, one engine per channel over the pool
-/// (channels share no state, so results are independent of DL_THREADS).
-/// Each worker merges its channel's report into `totals[c]` itself; a merge
-/// on the serial path after the fan-out measured slower.  A channel's
-/// scrubber verifies the scrub tenant's serviced chunks and counts a pass
-/// when that tenant was offered a sweep.  Returns the round's own reports.
-std::vector<TrafficReport> run_round(const Stacks& stacks, Rosters& rosters,
-                                     const TrafficSpec& traffic,
-                                     std::size_t scrub_tenant,
-                                     std::vector<TrafficReport>& totals) {
-  std::vector<TrafficReport> round(stacks.size());
-  dl::parallel::parallel_for(
-      0, stacks.size(), 1,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t c = begin; c < end; ++c) {
-          ChannelStack& stack = *stacks[c];
-          dl::integrity::DramScrubber* scrubber = stack.scrubber.get();
-          const bool sweep =
-              scrubber != nullptr && rosters[c][scrub_tenant].requests > 0;
-          dl::traffic::TrafficEngine engine(*stack.ctrl, std::move(rosters[c]),
-                                            traffic.scheduler,
-                                            traffic.admission);
-          if (scrubber != nullptr) {
-            engine.set_data_sink([&](const dl::traffic::Serviced& s) {
-              if (s.req.tenant == scrub_tenant) {
-                scrubber->on_read(s.req.addr, s.data);
-              }
-            });
-          }
-          TrafficReport report = engine.run();
-          if (sweep) scrubber->count_pass();
-          TrafficReport& total = totals[c];
-          merge_tenants(total.tenants, report.tenants);
-          total.serviced += report.serviced;
-          total.elapsed += report.elapsed;
-          round[c] = std::move(report);
-        }
-      });
-  return round;
-}
-
-/// Adds what every channel stack accumulated — DRAM-Locker, scrubber,
-/// retirer, injector and refresh stats — to `r` as fabric-wide merges
-/// (sums, the earliest first detection, the worst REF slip) and applies
-/// the `degraded` rule: a defense degradation ladder engaged, a scrub
-/// recovery write was denied, or a spare pool ran dry.  `Result` is
+/// Adds what every channel accumulated — DRAM-Locker, scrubber, retirer,
+/// injector and refresh stats — to `r` as fabric-wide merges (sums, the
+/// earliest first detection, the worst REF slip) and applies the
+/// `degraded` rule: a defense degradation ladder engaged, a scrub recovery
+/// write was denied, or a spare pool ran dry.  `Result` is
 /// HammerCampaignResult or ServeCampaignResult, which name these members
 /// alike.
 template <typename Result>
-void harvest_stacks(Result& r, const Stacks& stacks, const DramEnv& env,
-                    const IntegritySpec& ispec) {
+void harvest_channels(Result& r, const core::Channels& channels,
+                      const DramEnv& env, const IntegritySpec& ispec) {
   using dl::fields::merge;
   std::uint64_t degraded_migrations = 0;
   bool spares_dry = false;
-  for (const auto& s : stacks) {
-    if (s->defense.locker != nullptr) {
-      merge(r.locker, s->defense.locker->stats());
+  for (const auto& ch : channels) {
+    if (ch->locker != nullptr) merge(r.locker, ch->locker->stats());
+    if (ch->row_swap != nullptr) {
+      degraded_migrations += ch->row_swap->degraded();
     }
-    if (s->defense.row_swap != nullptr) {
-      degraded_migrations += s->defense.row_swap->degraded();
+    r.defense_time += ch->ctrl.defense_time();
+    if (ch->scrubber != nullptr) {
+      merge(r.integrity, ch->scrubber->stats());
+      merge(r.integrity_audit, ch->scrubber->audit());
     }
-    r.locked_rows += s->defense.locked_rows;
-    r.defense_time += s->ctrl->defense_time();
-    if (s->scrubber != nullptr) {
-      merge(r.integrity, s->scrubber->stats());
-      merge(r.integrity_audit, s->scrubber->audit());
-    }
-    if (s->retirer != nullptr) {
+    if (ch->retirer != nullptr) {
       r.resilience_enabled = true;
-      merge(r.resilience, s->retirer->stats());
-      spares_dry = spares_dry || s->retirer->exhausted();
+      merge(r.resilience, ch->retirer->stats());
+      spares_dry = spares_dry || ch->retirer->exhausted();
     }
-    if (s->injector != nullptr) merge(r.faults, s->injector->stats());
-    if (const auto* tm = s->ctrl->timing_model()) {
+    if (ch->injector != nullptr) merge(r.faults, ch->injector->stats());
+    if (const auto* tm = ch->ctrl.timing_model()) {
       merge(r.refresh, tm->refresh_stats());
     }
   }
@@ -577,11 +506,12 @@ HammerCampaignResult run_one(const HammerCampaign& campaign) {
   // Channel-local victims for flip attribution; partitioning also
   // range-checks them, the burst attack's victim row included.
   const auto victims_local = partition_rows(mapper, victims, "victim");
-  const Stacks stacks = build_channel_stacks(
-      campaign.env, campaign.defense, mapper, campaign.protected_rows, victims);
-
   HammerCampaignResult r;
   r.name = campaign.name;
+  const core::Channels channels =
+      build_channels(campaign.env, campaign.defense, mapper,
+                     campaign.protected_rows, victims, r.locked_rows);
+
   // Per-channel attack outcome and traffic totals, merged at the end.
   std::vector<dl::rowhammer::HammerResult> attack(n);
   std::vector<TrafficReport> traffic(n);
@@ -595,8 +525,8 @@ HammerCampaignResult run_one(const HammerCampaign& campaign) {
   const auto acts_exhausted = [&] {
     if (campaign.budget.max_acts == 0) return false;
     double total = 0.0;
-    for (const auto& s : stacks) {
-      total += s->ctrl->counters().value(dl::dram::Counter::kActivates);
+    for (const auto& ch : channels) {
+      total += ch->ctrl.counters().value(dl::dram::Counter::kActivates);
     }
     return total >= static_cast<double>(campaign.budget.max_acts);
   };
@@ -607,7 +537,7 @@ HammerCampaignResult run_one(const HammerCampaign& campaign) {
     for (const TrafficOp& op : ops) {
       DL_REQUIRE(op.row < mapper.total_rows(),
                  "traffic op row exceeds the fabric row space");
-      Controller& ctrl = *stacks[mapper.channel_of(op.row)]->ctrl;
+      Controller& ctrl = channels[mapper.channel_of(op.row)]->ctrl;
       const GlobalRowId local = mapper.local_row(op.row);
       buf.resize(op.bytes);
       for (std::uint32_t i = 0; i < op.repeat; ++i) {
@@ -624,14 +554,14 @@ HammerCampaignResult run_one(const HammerCampaign& campaign) {
     std::vector<std::unique_ptr<dl::rowhammer::FlipCallbackScope>> scopes;
     scopes.reserve(n);
     for (std::uint32_t c = 0; c < n; ++c) {
-      const ChannelStack& stack = *stacks[c];
+      core::Channel& ch = *channels[c];
       dl::rowhammer::HammerResult& a = attack[c];
       const std::vector<GlobalRowId>& local = victims_local[c];
       scopes.push_back(std::make_unique<dl::rowhammer::FlipCallbackScope>(
-          *stack.model,
-          [&stack, &a, &local](const dl::rowhammer::FlipEvent& ev) {
+          ch.disturbance,
+          [&ch, &a, &local](const dl::rowhammer::FlipEvent& ev) {
             for (const GlobalRowId v : local) {
-              if (ev.victim_row == stack.ctrl->indirection().to_physical(v)) {
+              if (ev.victim_row == ch.ctrl.indirection().to_physical(v)) {
                 ++a.flips_in_victim;
                 return;
               }
@@ -641,10 +571,11 @@ HammerCampaignResult run_one(const HammerCampaign& campaign) {
     }
     for (std::uint64_t cycle = 0; cycle < cycle_cap; ++cycle) {
       issue_ops(campaign.pre_traffic);
-      Rosters rosters = round_rosters(mapper, campaign.traffic.tenants, cycle,
-                                      stacks, ispec);
-      run_round(stacks, rosters, campaign.traffic,
-                campaign.traffic.tenants.size(), traffic);
+      core::Rosters rosters = round_rosters(
+          mapper, campaign.traffic.tenants, cycle, channels, ispec);
+      core::run_round(channels, rosters, campaign.traffic.scheduler,
+                      campaign.traffic.admission,
+                      campaign.traffic.tenants.size(), traffic);
       issue_ops(campaign.post_traffic);
       ++r.completed_cycles;
       if (acts_exhausted()) break;
@@ -654,8 +585,8 @@ HammerCampaignResult run_one(const HammerCampaign& campaign) {
     // sweeps run directly on every guarded channel when due.
     const ChannelId vch = mapper.channel_of(campaign.attack.victim_row);
     const GlobalRowId vlocal = mapper.local_row(campaign.attack.victim_row);
-    dl::rowhammer::HammerAttacker attacker(*stacks[vch]->ctrl,
-                                           *stacks[vch]->model);
+    dl::rowhammer::HammerAttacker attacker(channels[vch]->ctrl,
+                                           channels[vch]->disturbance);
     for (std::uint64_t cycle = 0; cycle < cycle_cap; ++cycle) {
       issue_ops(campaign.pre_traffic);
       dl::fields::merge(attack[vch],
@@ -664,8 +595,8 @@ HammerCampaignResult run_one(const HammerCampaign& campaign) {
                                         campaign.attack.stop_after_flips));
       issue_ops(campaign.post_traffic);
       if (scrub_due(ispec, cycle)) {
-        for (const auto& s : stacks) {
-          if (s->scrubber != nullptr) s->scrubber->scrub_pass();
+        for (const auto& ch : channels) {
+          if (ch->scrubber != nullptr) ch->scrubber->scrub_pass();
         }
       }
       ++r.completed_cycles;
@@ -682,7 +613,7 @@ HammerCampaignResult run_one(const HammerCampaign& campaign) {
   // unmerged per-channel slices.
   r.fabric_channels = n;
   for (std::uint32_t c = 0; c < n; ++c) {
-    const ChannelStack& stack = *stacks[c];
+    const core::Channel& ch = *channels[c];
     dl::rowhammer::HammerResult& a = attack[c];
     for (const auto& t : traffic[c].tenants) {
       if (t.kind != dl::traffic::StreamKind::kHammer) continue;
@@ -693,14 +624,14 @@ HammerCampaignResult run_one(const HammerCampaign& campaign) {
     const Picoseconds makespan = std::max(r.attack.elapsed, a.elapsed);
     dl::fields::merge(r.attack, a);
     r.attack.elapsed = makespan;
-    stack.defense.harvest(r);
-    merge_tenants(r.tenants, traffic[c].tenants);
+    harvest_defense(ch, r);
+    core::merge_tenants(r.tenants, traffic[c].tenants);
     const auto rowclones = static_cast<std::uint64_t>(
-        stack.ctrl->counters().value(dl::dram::Counter::kRowClones));
-    const std::uint64_t flips = stack.model->total_flips();
+        ch.ctrl.counters().value(dl::dram::Counter::kRowClones));
+    const std::uint64_t flips = ch.disturbance.total_flips();
     r.rowclones += rowclones;
     r.total_flips += flips;
-    r.elapsed = std::max(r.elapsed, stack.ctrl->now());
+    r.elapsed = std::max(r.elapsed, ch.ctrl.now());
     if (n > 1) {
       r.channels.push_back({.granted_acts = a.granted_acts,
                             .denied_acts = a.denied_acts,
@@ -709,11 +640,11 @@ HammerCampaignResult run_one(const HammerCampaign& campaign) {
                             .rowclones = rowclones,
                             .total_flips = flips,
                             .serviced = traffic[c].serviced,
-                            .defense_time = stack.ctrl->defense_time(),
-                            .elapsed = stack.ctrl->now()});
+                            .defense_time = ch.ctrl.defense_time(),
+                            .elapsed = ch.ctrl.now()});
     }
   }
-  harvest_stacks(r, stacks, campaign.env, ispec);
+  harvest_channels(r, channels, campaign.env, ispec);
   return r;
 }
 
@@ -848,9 +779,13 @@ ServeCampaignResult run_serve(const ServeCampaign& campaign) {
   const ChaosSpec& chaos = campaign.chaos;
   validate_chaos(chaos, campaign.env);
   const IntegritySpec& ispec = campaign.defense.integrity;
-  const Stacks stacks = build_channel_stacks(
+  ServeCampaignResult r;
+  r.name = campaign.name;
+  r.fabric_channels = n;
+  r.per_channel.resize(n);
+  const core::Channels channels = build_channels(
       campaign.env, campaign.defense, mapper, campaign.protected_rows,
-      hammer_victims(campaign.traffic.tenants));
+      hammer_victims(campaign.traffic.tenants), r.locked_rows);
 
   using dl::resilience::ChannelHealth;
   const bool chaos_on = chaos.enabled();
@@ -873,8 +808,8 @@ ServeCampaignResult run_serve(const ServeCampaign& campaign) {
         continue;
       }
       failover_tenants.push_back(i);
-      Controller& src = *stacks[kill]->ctrl;
-      Controller& dst = *stacks[replica]->ctrl;
+      Controller& src = channels[kill]->ctrl;
+      Controller& dst = channels[replica]->ctrl;
       for (std::uint64_t row = 0; row < t.rows; ++row) {
         const GlobalRowId local = mapper.local_row(t.base_row + row);
         src.data().read(src.indirection().to_physical(local), 0, buf);
@@ -883,22 +818,18 @@ ServeCampaignResult run_serve(const ServeCampaign& campaign) {
     }
   }
 
-  std::vector<ChannelHealth> health(n, ChannelHealth::kHealthy);
+  ChannelHealth& kill_health = channels[kill]->health;
   AvailabilityStats av;
   bool fault_seen = false;
   Picoseconds cum_time = 0;
   std::vector<std::uint64_t> storm_period(n, campaign.env.faults.period_acts);
 
-  ServeCampaignResult r;
-  r.name = campaign.name;
-  r.fabric_channels = n;
-  r.per_channel.resize(n);
   for (std::uint64_t round = 0; round < campaign.rounds; ++round) {
     // Chaos mutations run serially between rounds, in channel order, so
     // reports stay byte-identical for any DL_THREADS value.
     if (chaos_on) {
       if (chaos.kill_channel >= 0 && round == chaos.kill_at_round) {
-        health[kill] = ChannelHealth::kOffline;
+        kill_health = ChannelHealth::kOffline;
         if (!fault_seen) {
           fault_seen = true;
           av.first_fault_at = cum_time;
@@ -906,11 +837,11 @@ ServeCampaignResult run_serve(const ServeCampaign& campaign) {
       }
       if (chaos.kill_channel >= 0 && chaos.restore_at_round > 0 &&
           round == chaos.restore_at_round &&
-          health[kill] == ChannelHealth::kOffline) {
-        health[kill] = stacks[kill]->retirer != nullptr &&
-                               stacks[kill]->retirer->exhausted()
-                           ? ChannelHealth::kDegraded
-                           : ChannelHealth::kHealthy;
+          kill_health == ChannelHealth::kOffline) {
+        const auto* retirer = channels[kill]->retirer.get();
+        kill_health = retirer != nullptr && retirer->exhausted()
+                          ? ChannelHealth::kDegraded
+                          : ChannelHealth::kHealthy;
       }
       if (chaos.storm_rounds > 0 && round >= chaos.storm_start &&
           round < chaos.storm_start + chaos.storm_rounds) {
@@ -919,7 +850,7 @@ ServeCampaignResult run_serve(const ServeCampaign& campaign) {
         // period_ramp in (0, 1] (validate_chaos), converting back only a
         // smaller ramped period keeps the cast in range for any period.
         for (std::uint32_t c = 0; c < n; ++c) {
-          auto* inj = stacks[c]->injector.get();
+          auto* inj = channels[c]->injector.get();
           if (inj == nullptr) continue;
           const double ramped =
               static_cast<double>(storm_period[c]) * chaos.period_ramp;
@@ -940,7 +871,7 @@ ServeCampaignResult run_serve(const ServeCampaign& campaign) {
       }
     }
     const bool offline =
-        chaos.kill_channel >= 0 && health[kill] == ChannelHealth::kOffline;
+        chaos.kill_channel >= 0 && kill_health == ChannelHealth::kOffline;
 
     std::vector<StreamSpec> tenants = campaign.traffic.tenants;
     if (offline) {
@@ -952,8 +883,8 @@ ServeCampaignResult run_serve(const ServeCampaign& campaign) {
         t.pin_channel = static_cast<std::int32_t>(replica);
       }
     }
-    Rosters rosters =
-        round_rosters(mapper, std::move(tenants), round, stacks, ispec);
+    core::Rosters rosters =
+        round_rosters(mapper, std::move(tenants), round, channels, ispec);
     if (chaos_on) {
       // Offered load = every request budget sharded this round (scrub
       // service included); whatever lands on the dead channel is failed
@@ -968,9 +899,10 @@ ServeCampaignResult run_serve(const ServeCampaign& campaign) {
         }
       }
     }
-    const std::vector<TrafficReport> round_reports =
-        run_round(stacks, rosters, campaign.traffic,
-                  campaign.traffic.tenants.size(), r.per_channel);
+    const std::vector<TrafficReport> round_reports = core::run_round(
+        channels, rosters, campaign.traffic.scheduler,
+        campaign.traffic.admission, campaign.traffic.tenants.size(),
+        r.per_channel);
     // Serial post-round bookkeeping: availability conservation
     // (offered == served + shed + failed) and the health ladder.
     Picoseconds round_elapsed = 0;
@@ -993,15 +925,13 @@ ServeCampaignResult run_serve(const ServeCampaign& campaign) {
       }
     }
     // Spare-pool exhaustion degrades a channel (never un-degrades).
-    for (std::uint32_t c = 0; c < n; ++c) {
-      if (stacks[c]->retirer != nullptr && stacks[c]->retirer->exhausted() &&
-          health[c] == ChannelHealth::kHealthy) {
-        health[c] = ChannelHealth::kDegraded;
-      }
-    }
     bool any_unhealthy = false;
-    for (const ChannelHealth h : health) {
-      any_unhealthy = any_unhealthy || h != ChannelHealth::kHealthy;
+    for (const auto& ch : channels) {
+      if (ch->retirer != nullptr && ch->retirer->exhausted() &&
+          ch->health == ChannelHealth::kHealthy) {
+        ch->health = ChannelHealth::kDegraded;
+      }
+      any_unhealthy = any_unhealthy || ch->health != ChannelHealth::kHealthy;
     }
     if (any_unhealthy) {
       av.time_in_degraded = checked_ps_add(av.time_in_degraded, round_elapsed);
@@ -1010,8 +940,8 @@ ServeCampaignResult run_serve(const ServeCampaign& campaign) {
       // First uncorrectable strike observed by any retirer marks the
       // fault clock for MTTR.
       std::uint64_t strikes = 0;
-      for (const auto& s : stacks) {
-        if (s->retirer != nullptr) strikes += s->retirer->stats().strikes;
+      for (const auto& ch : channels) {
+        if (ch->retirer != nullptr) strikes += ch->retirer->stats().strikes;
       }
       if (strikes > 0) {
         fault_seen = true;
@@ -1026,20 +956,17 @@ ServeCampaignResult run_serve(const ServeCampaign& campaign) {
     ++r.completed_rounds;
   }
 
-  // Merge across channels: tenants element-wise, serviced summed, elapsed
-  // as the makespan; stack-level stats are fabric-wide merges, and any
-  // channel left unhealthy also marks the campaign degraded.
-  for (const TrafficReport& ch : r.per_channel) {
-    merge_tenants(r.merged.tenants, ch.tenants);
-    r.merged.serviced += ch.serviced;
-    r.merged.elapsed = std::max(r.merged.elapsed, ch.elapsed);
-  }
-  harvest_stacks(r, stacks, campaign.env, ispec);
+  // Channel-level stats are fabric-wide merges, and any channel left
+  // unhealthy also marks the campaign degraded.
+  r.merged = core::merge_channels(r.per_channel);
+  harvest_channels(r, channels, campaign.env, ispec);
   r.chaos_enabled = chaos_on;
   if (chaos_on) r.availability = av;
-  if (r.resilience_enabled || chaos_on) r.channel_health = health;
-  for (const ChannelHealth h : health) {
-    r.degraded = r.degraded || h != ChannelHealth::kHealthy;
+  for (const auto& ch : channels) {
+    if (r.resilience_enabled || chaos_on) {
+      r.channel_health.push_back(ch->health);
+    }
+    r.degraded = r.degraded || ch->health != ChannelHealth::kHealthy;
   }
   return r;
 }

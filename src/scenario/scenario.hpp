@@ -173,7 +173,7 @@ struct DefenseSpec {
 // ------------------------------------------------------------- environment
 
 /// Channel fabric topology for a campaign.  Every hammer and serve
-/// campaign runs on `channels` identical channel stacks (each its own
+/// campaign runs on `channels` identical core::Channels (each its own
 /// Controller + disturbance + defense + integrity + retirement + fault
 /// state) sharing one flat fabric row space under `interleave`; tenant
 /// working sets, protected rows, and victim rows in the campaign spec are

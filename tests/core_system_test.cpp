@@ -21,31 +21,31 @@ core::SystemConfig tiny_system() {
 }
 
 TEST(System, ComponentsAreWired) {
-  core::DramLockerSystem sys(tiny_system());
+  core::Fabric sys(tiny_system());
   // The disturbance model is registered: hammering accumulates.
   for (int i = 0; i < 10; ++i) sys.hammer(sys.row_base(10));
   EXPECT_DOUBLE_EQ(sys.disturbance().disturbance(9), 10.0);
 }
 
 TEST(System, LockerCanOnlyBeEnabledOnce) {
-  core::DramLockerSystem sys(tiny_system());
+  core::Fabric sys(tiny_system());
   sys.enable_locker();
   EXPECT_THROW(sys.enable_locker(), dl::Error);
 }
 
 TEST(System, ShadowCanOnlyBeEnabledOnce) {
-  core::DramLockerSystem sys(tiny_system());
+  core::Fabric sys(tiny_system());
   sys.enable_shadow();
   EXPECT_THROW(sys.enable_shadow(), dl::Error);
 }
 
 TEST(System, ProtectRequiresLocker) {
-  core::DramLockerSystem sys(tiny_system());
+  core::Fabric sys(tiny_system());
   EXPECT_THROW(sys.protect_physical_range(0, 64), dl::Error);
 }
 
 TEST(System, DisableGateRestoresAccess) {
-  core::DramLockerSystem sys(tiny_system());
+  core::Fabric sys(tiny_system());
   auto& locker = sys.enable_locker();
   locker.protect_data_row(10);
   std::array<std::uint8_t, 1> buf{};
@@ -55,7 +55,7 @@ TEST(System, DisableGateRestoresAccess) {
 }
 
 TEST(System, MakeRngStreamsDiffer) {
-  core::DramLockerSystem sys(tiny_system());
+  core::Fabric sys(tiny_system());
   Rng a = sys.make_rng();
   Rng b = sys.make_rng();
   int same = 0;
@@ -66,7 +66,7 @@ TEST(System, MakeRngStreamsDiffer) {
 TEST(System, SameSeedSameBehaviour) {
   // Two systems with the same config produce identical flip sequences.
   auto run = [] {
-    core::DramLockerSystem sys(tiny_system());
+    core::Fabric sys(tiny_system());
     for (int i = 0; i < 500; ++i) sys.hammer(sys.row_base(10));
     std::vector<std::pair<std::uint32_t, unsigned>> flips;
     for (const auto& f : sys.disturbance().flips()) {
@@ -78,7 +78,7 @@ TEST(System, SameSeedSameBehaviour) {
 }
 
 TEST(System, AddressSpacesShareFrameAllocator) {
-  core::DramLockerSystem sys(tiny_system());
+  core::Fabric sys(tiny_system());
   auto a = sys.make_address_space();
   auto b = sys.make_address_space();
   a->map_contiguous(0x10000, 1);
@@ -88,7 +88,7 @@ TEST(System, AddressSpacesShareFrameAllocator) {
 }
 
 TEST(System, ChannelViewExposesTopology) {
-  core::DramLockerSystem sys(tiny_system());
+  core::Fabric sys(tiny_system());
   const auto view = sys.channel();
   const auto topo = view.topology();
   EXPECT_EQ(topo.bank_count(), view.geometry().total_banks());
@@ -102,16 +102,16 @@ TEST(System, ChannelViewExposesTopology) {
 TEST(System, ValidateRejectsDegenerateConfigs) {
   core::SystemConfig cfg = tiny_system();
   cfg.geometry.channels = 0;
-  EXPECT_THROW(core::DramLockerSystem{cfg}, dl::Error);
+  EXPECT_THROW(core::Fabric{cfg}, dl::Error);
   cfg.geometry.channels = 65;
-  EXPECT_THROW(core::DramLockerSystem{cfg}, dl::Error);
+  EXPECT_THROW(core::Fabric{cfg}, dl::Error);
   cfg = tiny_system();
   cfg.geometry.channels = 4;
   cfg.geometry.rows_per_subarray = 4;  // < 2 * channels
   cfg.interleave = dram::InterleavePolicy::kRowRoundRobin;
-  EXPECT_THROW(core::DramLockerSystem{cfg}, dl::Error);
+  EXPECT_THROW(core::Fabric{cfg}, dl::Error);
   cfg.interleave = dram::InterleavePolicy::kRowBlocked;
-  EXPECT_NO_THROW(core::DramLockerSystem{cfg});
+  EXPECT_NO_THROW(core::Fabric{cfg});
 }
 
 // --- cross-cutting property sweeps ------------------------------------------
@@ -120,7 +120,7 @@ class ProtectRadiusSweep : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(ProtectRadiusSweep, DeniesEveryAggressorWithinRadius) {
   const std::uint32_t radius = GetParam();
-  core::DramLockerSystem sys(tiny_system());
+  core::Fabric sys(tiny_system());
   defense::DramLockerConfig lcfg;
   lcfg.protect_radius = radius;
   auto& locker = sys.enable_locker(lcfg);
@@ -150,7 +150,7 @@ TEST_P(UnlockCycleSweep, SwapBackPreservesDataAcrossManyCycles) {
   // Property: any number of unlock/relock cycles under kSwapBack leaves
   // the protected neighbourhood's data intact and the locks in place.
   const int cycles = GetParam();
-  core::DramLockerSystem sys(tiny_system());
+  core::Fabric sys(tiny_system());
   defense::DramLockerConfig lcfg;
   lcfg.protect_radius = 1;
   lcfg.relock_rw_interval = 20;
@@ -186,7 +186,7 @@ class MapSchemeSweep
 TEST_P(MapSchemeSweep, ProtectionWorksUnderAnyAddressMapping) {
   core::SystemConfig cfg = tiny_system();
   cfg.map_scheme = GetParam();
-  core::DramLockerSystem sys(cfg);
+  core::Fabric sys(cfg);
   const std::array<std::uint8_t, 2> data{0x12, 0x34};
   const dram::PhysAddr addr = 13 * cfg.geometry.row_bytes + 7;
   sys.write(addr, data);

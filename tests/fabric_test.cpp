@@ -188,6 +188,16 @@ TEST(FabricCampaign, RejectsMalformedSpecs) {
   EXPECT_EQ(r1.status, scenario::CampaignStatus::kFailed);
   EXPECT_NE(r1.error.find("geometry.channels must stay 1"), std::string::npos);
 
+  // The fabric shape goes through the same validation as core::Fabric, so
+  // an absurd channel count fails up front instead of building stacks.
+  auto huge = fabric_campaign(4'000'000);
+  huge.defense = scenario::DefenseSpec::none();
+  const auto rh = scenario::run_one_isolated(huge);
+  EXPECT_EQ(rh.status, scenario::CampaignStatus::kFailed);
+  EXPECT_NE(rh.error.find("exceeds the fabric limit of 64 channels"),
+            std::string::npos)
+      << rh.error;
+
   auto mismatched = fabric_campaign(2);
   mismatched.env.fabric.channel_defenses = {scenario::DefenseSpec::none()};
   const auto r2 = scenario::run_one_isolated(mismatched);

@@ -8,11 +8,12 @@
 // a traffic + integrity campaign, faults with row retirement draining the
 // spare pool, a timed campaign, 2- and 4-channel fabrics, a burst that
 // crosses refresh windows, a 4-channel serve campaign, a chaos kill, a chaos
-// storm and a serve campaign that sheds load on a p99 SLO.  BFA campaigns
-// are left out
-// (their accuracy curves depend on the compiler's floating-point code
-// generation), and so are failed campaigns (an error string is not a
-// simulated result).
+// storm and a serve campaign that sheds load on a p99 SLO.  One more
+// digest pins the core::Fabric facade (serve rounds, counters, locker
+// stats and a burst attack), which no campaign report reaches.  BFA
+// campaigns are left out (their accuracy curves depend on the compiler's
+// floating-point code generation), and so are failed campaigns (an error
+// string is not a simulated result).
 //
 // Simulated campaigns leave many counters at 0, so two of them written
 // under each other's keys would not move a digest.  The hand-built results
@@ -26,14 +27,18 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "common/crc32.hpp"
+#include "common/parallel.hpp"
+#include "core/system.hpp"
 #include "scenario/scenario.hpp"
 #include "schema_pins.hpp"
 
 namespace {
 
 using namespace dl;
+using dram::ChannelId;
 using rowhammer::HammerPattern;
 using scenario::DefenseSpec;
 using scenario::HammerCampaign;
@@ -265,6 +270,90 @@ std::uint32_t digest(const dl::json::Value& report) {
   return dl::crc32(report.dump());
 }
 
+/// The core::Fabric facade end to end: three serve rounds of a
+/// web/weights/hammer mix over a 4-channel round-robin fabric with timing
+/// on and DRAM-Locker guarding row 40, then a burst attack on row 101.
+/// The document holds every per-channel and merged tenant block, each
+/// round's serviced count and makespan, the fabric's counter totals by
+/// name, each channel's clock and locker stats, and the attack result.
+dl::json::Value fabric_facade_report() {
+  core::SystemConfig sc;
+  sc.geometry.channels = 4;
+  sc.geometry.ranks = 1;
+  sc.geometry.banks = 2;
+  sc.geometry.subarrays_per_bank = 4;
+  sc.geometry.rows_per_subarray = 128;
+  sc.geometry.row_bytes = 4096;
+  sc.interleave = dram::InterleavePolicy::kRowRoundRobin;
+  sc.timing_model = {.enabled = true, .scheduled_refresh = true};
+  sc.disturbance.t_rh = 1000;
+  sc.disturbance.distance2_weight = 0.25;
+  core::Fabric fabric(sc);
+  defense::DramLockerConfig cfg;
+  cfg.protect_radius = 2;
+  fabric.enable_locker(cfg);
+  fabric.protect_physical_range(fabric.row_base(40), 1);
+
+  std::vector<StreamSpec> mix = {
+      StreamSpec::synthetic(256, 64, 600, 0.4, 0.2, 1),
+      StreamSpec::weight_reader(16, 8, 400),
+      StreamSpec::hammer(HammerPattern::kDoubleSided, 40, 1200),
+  };
+  mix[0].name = "web";
+  mix[1].name = "weights";
+  traffic::SchedulerConfig scheduler;
+  scheduler.batch = 2;
+  const auto tenant_blocks = [](const traffic::TrafficReport& rep) {
+    auto v = dl::json::Value::array();
+    for (const auto& t : rep.tenants) {
+      v.push_back(traffic::to_json(t, rep.elapsed));
+    }
+    return v;
+  };
+
+  auto doc = dl::json::Value::object();
+  auto rounds = dl::json::Value::array();
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    std::vector<StreamSpec> tenants = mix;
+    for (auto& t : tenants) t.seed = dl::substream_seed(t.seed, 3, round);
+    const core::FabricReport rep = fabric.serve(std::move(tenants), scheduler);
+    auto r = dl::json::Value::object();
+    r["serviced"] = rep.merged.serviced;
+    r["elapsed_ps"] = rep.merged.elapsed;
+    auto channels = dl::json::Value::array();
+    for (const auto& ch : rep.channels) {
+      auto c = dl::json::Value::object();
+      c["serviced"] = ch.serviced;
+      c["elapsed_ps"] = ch.elapsed;
+      c["tenants"] = tenant_blocks(ch);
+      channels.push_back(std::move(c));
+    }
+    r["channels"] = std::move(channels);
+    r["merged"] = tenant_blocks(rep.merged);
+    rounds.push_back(std::move(r));
+  }
+  doc["rounds"] = std::move(rounds);
+  doc["attack"] = dl::fields::report(fabric.hammer_attack(
+      101, HammerPattern::kDoubleSided, 4000));
+
+  auto counters = dl::json::Value::object();
+  const dram::CounterBlock totals = fabric.view().counter_totals();
+  for (std::size_t i = 0; i < dram::kNumCounters; ++i) {
+    const auto c = static_cast<dram::Counter>(i);
+    counters[dram::to_string(c)] = totals.value(c);
+  }
+  doc["counters"] = std::move(counters);
+  auto channels = dl::json::Value::array();
+  for (ChannelId c = 0; c < fabric.channels(); ++c) {
+    auto ch = dl::json::Value::object();
+    ch["now_ps"] = fabric.channel(c).now();
+    ch["locker"] = dl::fields::report(fabric.channel(c).locker()->stats());
+    channels.push_back(std::move(ch));
+  }
+  doc["channels"] = std::move(channels);
+  return doc;
+}
+
 std::string hex(std::uint32_t crc) {
   char buf[12];
   std::snprintf(buf, sizeof buf, "%08x", crc);
@@ -308,6 +397,15 @@ TEST(GoldenReports, ServeCampaignDigests) {
     EXPECT_EQ(hex(digest(scenario::to_json(r))), hex(g.crc))
         << g.campaign.name;
   }
+}
+
+TEST(GoldenReports, FabricFacadeDigest) {
+  for (const std::size_t threads : {1u, 8u}) {
+    parallel::set_threads(threads);
+    EXPECT_EQ(hex(digest(fabric_facade_report())), hex(0xffb1479eu))
+        << threads << " threads";
+  }
+  parallel::set_threads(0);  // back to the environment default
 }
 
 TEST(GoldenReports, SchemaPinDigests) {

@@ -65,7 +65,7 @@ TrainedModel& trained() {
 TEST(Integration, WeightsSurviveDramRoundTrip) {
   TrainedModel& t = trained();
   t.qmodel->restore();
-  core::DramLockerSystem sys(small_system());
+  core::Fabric sys(small_system());
   auto space = sys.make_address_space();
   auto binding = sys.make_weight_binding(*space, *t.qmodel, 0x100000);
   binding.upload();
@@ -78,7 +78,7 @@ TEST(Integration, WeightsSurviveDramRoundTrip) {
 TEST(Integration, WeightRowsAreTracked) {
   TrainedModel& t = trained();
   t.qmodel->restore();
-  core::DramLockerSystem sys(small_system());
+  core::Fabric sys(small_system());
   auto space = sys.make_address_space();
   auto binding = sys.make_weight_binding(*space, *t.qmodel, 0x100000);
   binding.upload();
@@ -94,7 +94,7 @@ TEST(Integration, WeightRowsAreTracked) {
 TEST(Integration, HammerGateRealizesFlipsWithoutDefense) {
   TrainedModel& t = trained();
   t.qmodel->restore();
-  core::DramLockerSystem sys(small_system());
+  core::Fabric sys(small_system());
   auto space = sys.make_address_space();
   auto binding = sys.make_weight_binding(*space, *t.qmodel, 0x100000);
   binding.upload();
@@ -120,7 +120,7 @@ TEST(Integration, HammerGateRealizesFlipsWithoutDefense) {
 TEST(Integration, DramLockerBlocksHammeredFlips) {
   TrainedModel& t = trained();
   t.qmodel->restore();
-  core::DramLockerSystem sys(small_system());
+  core::Fabric sys(small_system());
   auto space = sys.make_address_space();
   auto binding = sys.make_weight_binding(*space, *t.qmodel, 0x100000);
   binding.upload();
@@ -155,7 +155,7 @@ TEST(Integration, DramLockerBlocksHammeredFlips) {
 TEST(Integration, VictimStillReadsWeightsUnderProtection) {
   TrainedModel& t = trained();
   t.qmodel->restore();
-  core::DramLockerSystem sys(small_system());
+  core::Fabric sys(small_system());
   auto space = sys.make_address_space();
   auto binding = sys.make_weight_binding(*space, *t.qmodel, 0x100000);
   binding.upload();
@@ -177,7 +177,7 @@ TEST(Integration, RelockNewLocationReopensSurface) {
   // lasts until the next relock tick, so an ultra-low threshold part
   // (T_RH = 20) makes the exposure observable deterministically.
   core::SystemConfig scfg = small_system(/*t_rh=*/20);
-  core::DramLockerSystem sys(scfg);
+  core::Fabric sys(scfg);
 
   defense::DramLockerConfig lcfg;
   lcfg.protect_radius = 1;
@@ -208,7 +208,7 @@ TEST(Integration, RelockNewLocationReopensSurface) {
 }
 
 TEST(Integration, PtaRedirectsWithoutDefense) {
-  core::DramLockerSystem sys(small_system(500));
+  core::Fabric sys(small_system(500));
   auto victim_space = sys.make_address_space();
   auto attacker_space = sys.make_address_space();
 
@@ -233,7 +233,7 @@ TEST(Integration, PtaRedirectsWithoutDefense) {
 }
 
 TEST(Integration, DramLockerBlocksPta) {
-  core::DramLockerSystem sys(small_system(500));
+  core::Fabric sys(small_system(500));
   auto victim_space = sys.make_address_space();
   auto attacker_space = sys.make_address_space();
   victim_space->map_contiguous(0x200000, 1);
@@ -270,7 +270,7 @@ TEST(Integration, ResidualGateMatchesConfiguredRate) {
 }
 
 TEST(Integration, SystemProtectVirtualRange) {
-  core::DramLockerSystem sys(small_system());
+  core::Fabric sys(small_system());
   auto space = sys.make_address_space();
   space->map_contiguous(0x300000, 4);
   sys.enable_locker();
@@ -283,7 +283,7 @@ TEST(Integration, SystemProtectVirtualRange) {
 }
 
 TEST(Integration, ShadowSystemWiring) {
-  core::DramLockerSystem sys(small_system(200));
+  core::Fabric sys(small_system(200));
   auto& shadow = sys.enable_shadow({.threshold = 200, .table_entries = 100});
   for (int i = 0; i < 150; ++i) {
     sys.hammer(sys.row_base(20));

@@ -1,6 +1,6 @@
 // Tests for the self-healing resilience layer: row retirement onto the
-// spare slab, channel failover through the core fabric, admission control
-// conservation, and chaos-campaign availability accounting (including
+// spare slab, admission control conservation, and chaos-campaign
+// availability accounting with channel failover (including
 // DL_THREADS determinism and the PR-compat gating of the new report
 // blocks).
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/parallel.hpp"
-#include "core/system.hpp"
 #include "dram/controller.hpp"
 #include "resilience/resilience.hpp"
 #include "scenario/scenario.hpp"
@@ -131,80 +130,6 @@ TEST(ResilienceSpec, ValidateRejectsSlabConsumingTheRowSpace) {
   spec.spare_rows = 0;
   spec.strike_threshold = 0;
   EXPECT_THROW(spec.validate(64), dl::Error);
-}
-
-// ------------------------------------------------------- fabric failover
-
-core::SystemConfig small_fabric(std::uint32_t channels) {
-  core::SystemConfig cfg;
-  cfg.geometry.channels = 1;
-  cfg.geometry.ranks = 1;
-  cfg.geometry.banks = 2;
-  cfg.geometry.subarrays_per_bank = 4;
-  cfg.geometry.rows_per_subarray = 64;
-  cfg.geometry.row_bytes = 1024;
-  cfg.geometry.channels = channels;
-  return cfg;
-}
-
-TEST(FabricFailover, MirroredReadsSurviveAChannelKill) {
-  core::Fabric fabric(small_fabric(2));
-  const dram::PhysAddr base = fabric.row_base(3);
-  const std::array<std::uint8_t, 4> payload{1, 2, 3, 4};
-  ASSERT_TRUE(fabric.write(base, payload).granted);
-  EXPECT_GT(fabric.mirror_physical_range(base, 4), 0u);
-  EXPECT_GT(fabric.channel(0).mirrored_rows(), 0u);
-
-  fabric.kill_channel(0);
-  EXPECT_EQ(fabric.channel(0).health(), ChannelHealth::kOffline);
-  EXPECT_EQ(fabric.view().healthy_channels(), 1u);
-
-  // The mirrored read fails over to the replica and returns the payload.
-  std::array<std::uint8_t, 4> out{};
-  const auto r = fabric.read(base, out);
-  EXPECT_TRUE(r.granted);
-  EXPECT_EQ(out, payload);
-  EXPECT_GT(fabric.view().counter_totals().value(
-                dram::Counter::kFailoverReads),
-            0.0);
-}
-
-TEST(FabricFailover, UnmirroredAccessesFailExplicitlyWhileOffline) {
-  core::Fabric fabric(small_fabric(2));
-  const dram::PhysAddr base = fabric.row_base(5);
-  const std::array<std::uint8_t, 4> payload{9, 9, 9, 9};
-  fabric.kill_channel(0);
-
-  std::array<std::uint8_t, 4> out{};
-  EXPECT_FALSE(fabric.read(base, out).granted);
-  EXPECT_FALSE(fabric.write(base, payload).granted);
-  EXPECT_GT(
-      fabric.view().counter_totals().value(dram::Counter::kFailedWrites),
-      0.0);
-
-  // Restoration returns the channel to normal service.
-  fabric.restore_channel(0);
-  EXPECT_EQ(fabric.channel(0).health(), ChannelHealth::kHealthy);
-  EXPECT_TRUE(fabric.write(base, payload).granted);
-  EXPECT_TRUE(fabric.read(base, out).granted);
-  EXPECT_EQ(out, payload);
-}
-
-TEST(FabricFailover, WriteThroughKeepsTheReplicaFresh) {
-  core::Fabric fabric(small_fabric(2));
-  const dram::PhysAddr base = fabric.row_base(4);
-  const std::array<std::uint8_t, 4> before{1, 1, 1, 1};
-  const std::array<std::uint8_t, 4> after{2, 2, 2, 2};
-  ASSERT_TRUE(fabric.write(base, before).granted);
-  ASSERT_GT(fabric.mirror_physical_range(base, 4), 0u);
-  // The mirror was seeded from `before`; this write must reach the replica
-  // too, or the failover read below would return stale bytes.
-  ASSERT_TRUE(fabric.write(base, after).granted);
-
-  fabric.kill_channel(0);
-  std::array<std::uint8_t, 4> out{};
-  EXPECT_TRUE(fabric.read(base, out).granted);
-  EXPECT_EQ(out, after);
 }
 
 // ------------------------------------------------- scenario-level chaos
