@@ -12,19 +12,54 @@ using dl::nn::Dataset;
 using dl::nn::LossResult;
 using dl::nn::Tensor;
 
+namespace {
+
+/// Index of the top-level layer of `model` whose params() hold `p`, or
+/// model.layer_count() when none does.
+std::size_t owning_layer(dl::nn::Model& model, const dl::nn::Param* p) {
+  for (std::size_t l = 0; l < model.layer_count(); ++l) {
+    const auto params = model.layer(l).params();
+    if (std::find(params.begin(), params.end(), p) != params.end()) return l;
+  }
+  return model.layer_count();
+}
+
+}  // namespace
+
 ProgressiveBitSearch::ProgressiveBitSearch(dl::nn::Model& model,
                                            dl::nn::QuantizedModel& qmodel,
                                            BfaConfig config)
     : model_(model), qmodel_(qmodel), config_(config) {
   DL_REQUIRE(config_.layers_evaluated >= 1, "must evaluate at least 1 layer");
+  DL_REQUIRE(config_.candidates_per_layer >= 1,
+             "must rank at least 1 candidate per layer");
+  owner_.reserve(qmodel_.layer_count());
+  for (std::size_t li = 0; li < qmodel_.layer_count(); ++li) {
+    const auto& layer = qmodel_.layer(li);
+    owner_.push_back(owning_layer(model_, layer.target));
+    DL_REQUIRE(owner_.back() < model_.layer_count(),
+               "quantized layer " + layer.name +
+                   " is not a weight of the attacked model");
+  }
 }
 
-float ProgressiveBitSearch::compute_gradients(const Dataset& sample) {
+LossResult ProgressiveBitSearch::compute_gradients(
+    const Dataset& sample, std::vector<Tensor>& inputs) {
   model_.zero_grad();
-  const Tensor logits = model_.forward(sample.images, /*train=*/false);
-  const LossResult r = dl::nn::softmax_cross_entropy(logits, sample.labels);
+  const Tensor logits =
+      model_.forward_from(0, sample.images, /*train=*/false, &inputs);
+  LossResult r = dl::nn::softmax_cross_entropy(logits, sample.labels);
   model_.backward(r.grad);
-  return r.loss;
+  return r;
+}
+
+LossResult ProgressiveBitSearch::loss_after_flip(
+    std::size_t layer, const std::vector<Tensor>& inputs,
+    const Dataset& sample) {
+  const std::size_t first = owner_[layer];
+  const Tensor logits =
+      model_.forward_from(first, inputs[first], /*train=*/false);
+  return dl::nn::softmax_cross_entropy(logits, sample.labels);
 }
 
 float ProgressiveBitSearch::flip_gain(std::int8_t q, unsigned bit, float grad,
@@ -94,14 +129,6 @@ ProgressiveBitSearch::rank_candidates() {
   return best;
 }
 
-float ProgressiveBitSearch::evaluate_loss(const Dataset& sample,
-                                          std::size_t* correct) {
-  const Tensor logits = model_.forward(sample.images, /*train=*/false);
-  const LossResult r = dl::nn::softmax_cross_entropy(logits, sample.labels);
-  if (correct != nullptr) *correct = r.correct;
-  return r.loss;
-}
-
 BfaIteration ProgressiveBitSearch::step(const Dataset& sample,
                                         const FlipGate& gate) {
   // The whole step is the attacker's offline simulation: gradients, trial
@@ -112,8 +139,16 @@ BfaIteration ProgressiveBitSearch::step(const Dataset& sample,
   dl::nn::HookSuspensionScope suspend(model_);
   BfaIteration it;
   it.iteration = ++iteration_;
-  compute_gradients(sample);
+  // Recorded by this step's gradient forward and dropped with the step.
+  std::vector<Tensor> inputs;
+  const LossResult clean = compute_gradients(sample, inputs);
   const auto candidates = rank_candidates();
+  const auto finish = [&](const LossResult& r) {
+    it.loss_after = r.loss;
+    it.accuracy_after =
+        static_cast<double>(r.correct) / static_cast<double>(sample.size());
+    return it;
+  };
 
   // Cross-layer phase: evaluate the top candidates by real forward loss.
   const std::size_t evals =
@@ -123,7 +158,7 @@ BfaIteration ProgressiveBitSearch::step(const Dataset& sample,
   for (std::size_t i = 0; i < evals; ++i) {
     const BitAddress addr = candidates[i].addr;
     qmodel_.flip_bit(addr);
-    const float loss = evaluate_loss(sample, nullptr);
+    const float loss = loss_after_flip(addr.layer, inputs, sample).loss;
     qmodel_.flip_bit(addr);  // undo
     if (loss > best_loss) {
       best_loss = loss;
@@ -131,28 +166,18 @@ BfaIteration ProgressiveBitSearch::step(const Dataset& sample,
     }
   }
 
-  if (!best_addr) {
-    // No candidate improves the loss (or all attempted): attacker is stuck.
-    std::size_t correct = 0;
-    it.loss_after = evaluate_loss(sample, &correct);
-    it.accuracy_after =
-        static_cast<double>(correct) / static_cast<double>(sample.size());
-    return it;
-  }
+  // No candidate improves the loss (or all attempted): attacker is stuck.
+  if (!best_addr) return finish(clean);
 
   attempted_.insert({best_addr->layer, best_addr->weight, best_addr->bit});
   const bool landed = gate ? gate(*best_addr) : true;
-  if (landed) {
-    qmodel_.flip_bit(*best_addr);
-    it.flipped = *best_addr;
-  } else {
+  if (!landed) {
     it.blocked = true;
+    return finish(clean);
   }
-  std::size_t correct = 0;
-  it.loss_after = evaluate_loss(sample, &correct);
-  it.accuracy_after =
-      static_cast<double>(correct) / static_cast<double>(sample.size());
-  return it;
+  qmodel_.flip_bit(*best_addr);
+  it.flipped = *best_addr;
+  return finish(loss_after_flip(best_addr->layer, inputs, sample));
 }
 
 BfaResult ProgressiveBitSearch::run(const Dataset& sample,

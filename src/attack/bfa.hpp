@@ -8,10 +8,26 @@
 // accuracy with remarkably few flips — tens of bits suffice to drive a
 // model to random-guess level (Fig. 1(a) / Fig. 8 of the paper).
 //
+// Per-step suffix evaluation: the gradient forward of step (1) records
+// every top-level layer's input (nn::Model::forward_from).  A flip in a
+// weight owned by top-level layer L leaves every activation before L
+// unchanged, so each trial flip and the post-commit probe rerun only
+// layers [L, end) from the recorded input of L — bit for bit the logits a
+// full forward would give.  A blocked or stuck step changed no weight, so
+// its loss and accuracy are the gradient forward's own.  The recording
+// lives only inside the step that made it; every step starts with a fresh
+// full forward, so changes made between steps (integrity recovery, a
+// caller's restore) are always seen.
+//
 // A `FlipGate` models the memory substrate: every selected flip is offered
 // to the gate, which realizes it (e.g. by RowHammering the weight's DRAM
 // row) or blocks it (DRAM-Locker).  Blocked bits are remembered so the
 // attacker moves on to its next candidate instead of retrying forever.
+// Gate contract: a gate may read and write DRAM but must not touch the
+// model's weights — the step commits a landed flip itself, and the
+// post-commit probe reuses activations recorded before the gate ran.
+// HammerFlipGate (flips DataStore bits only) and ResidualFlipGate (draws
+// from its own RNG) both comply.
 //
 // Committed flips land in the QuantizedModel — the *checksummed view* a
 // run-time integrity defense (src/integrity) guards — so reactive
@@ -35,11 +51,12 @@ namespace dl::attack {
 
 /// Decides whether a selected bit flip actually lands in memory.
 /// Return true when the flip was realized.  The default gate always lands.
+/// The gate must not modify the attacked model's weights (see above).
 using FlipGate = std::function<bool(const dl::nn::BitAddress&)>;
 
 struct BfaConfig {
   std::size_t max_iterations = 100;
-  std::size_t candidates_per_layer = 1;  ///< top-n bits per layer
+  std::size_t candidates_per_layer = 1;  ///< top-n bits per layer (>= 1)
   std::size_t layers_evaluated = 4;      ///< forward-evaluated layers/iter
   double stop_below_accuracy = 0.0;      ///< stop early when acc drops below
 };
@@ -60,6 +77,8 @@ struct BfaResult {
 
 class ProgressiveBitSearch {
  public:
+  /// `qmodel` must quantize `model`'s own weights: each quantized layer's
+  /// Param must belong to one of `model`'s top-level layers.
   ProgressiveBitSearch(dl::nn::Model& model, dl::nn::QuantizedModel& qmodel,
                        BfaConfig config);
 
@@ -76,14 +95,18 @@ class ProgressiveBitSearch {
   BfaConfig config_;
   std::size_t iteration_ = 0;
   std::set<std::tuple<std::size_t, std::size_t, unsigned>> attempted_;
+  /// owner_[l]: the top-level model layer holding quantized layer l.
+  std::vector<std::size_t> owner_;
 
   struct Candidate {
     dl::nn::BitAddress addr;
     float predicted_gain = 0.0f;
   };
 
-  /// Gradient pass; returns loss on the sample.
-  float compute_gradients(const dl::nn::Dataset& sample);
+  /// Gradient pass; records every top-level layer's input and the logits
+  /// into `inputs` and returns the loss on the sample.
+  dl::nn::LossResult compute_gradients(const dl::nn::Dataset& sample,
+                                       std::vector<dl::nn::Tensor>& inputs);
 
   /// Ranks flip candidates from the current gradients.
   std::vector<Candidate> rank_candidates();
@@ -93,7 +116,11 @@ class ProgressiveBitSearch {
   [[nodiscard]] static float flip_gain(std::int8_t q, unsigned bit,
                                        float grad, float scale);
 
-  float evaluate_loss(const dl::nn::Dataset& sample, std::size_t* correct);
+  /// Loss on `sample` after a change to quantized layer `layer`: reruns
+  /// the model from that layer's owner on the recorded `inputs`.
+  dl::nn::LossResult loss_after_flip(
+      std::size_t layer, const std::vector<dl::nn::Tensor>& inputs,
+      const dl::nn::Dataset& sample);
 };
 
 /// Fig. 1(a) baseline: flips uniformly random bits of the quantized model.

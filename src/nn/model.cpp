@@ -2,15 +2,30 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace dl::nn {
 
 Tensor Model::forward(const Tensor& x, bool train) {
+  return forward_from(0, x, train);
+}
+
+Tensor Model::forward_from(std::size_t first, const Tensor& x, bool train,
+                           std::vector<Tensor>* inputs) {
+  DL_REQUIRE(first <= layers_.size(), "first layer out of range");
+  if (inputs != nullptr) inputs->resize(layers_.size() + 1);
   Tensor cur = x;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
+  for (std::size_t i = first; i < layers_.size(); ++i) {
     if (hook_ && hook_suspended_ == 0) hook_(i, *layers_[i]);
-    cur = layers_[i]->forward(cur, train);
+    if (inputs != nullptr) {
+      // Record by move: the layer reads its input from the record.
+      (*inputs)[i] = std::move(cur);
+      cur = layers_[i]->forward((*inputs)[i], train);
+    } else {
+      cur = layers_[i]->forward(cur, train);
+    }
   }
+  if (inputs != nullptr) inputs->back() = cur;
   return cur;
 }
 

@@ -15,17 +15,30 @@ namespace dl::nn {
 class Model {
  public:
   /// Pre-forward observer: called immediately before layer `index` runs in
-  /// forward().  Run-time integrity defenses (src/integrity) hook here to
-  /// verify a layer's weights lazily — exactly when inference is about to
-  /// consume them.  The hook may rewrite the layer's parameters (recovery)
-  /// but must not add/remove layers.
+  /// forward() or forward_from().  Run-time integrity defenses
+  /// (src/integrity) hook here to verify a layer's weights lazily — exactly
+  /// when inference is about to consume them.  The hook may rewrite the
+  /// layer's parameters (recovery) but must not add/remove layers.
   using ForwardHook = std::function<void(std::size_t index, Layer& layer)>;
 
   Model() = default;
 
   void add(LayerPtr layer) { layers_.push_back(std::move(layer)); }
 
+  /// Runs every layer on `x`; forward_from(0, x, train).
   Tensor forward(const Tensor& x, bool train = false);
+
+  /// Runs top-level layers [first, layer_count()) on `x`, which must be
+  /// layer `first`'s input, and returns the output.  Hooks fire only for
+  /// the layers run, i.e. those at or after `first`.  With `inputs` set,
+  /// it is resized to layer_count() + 1 and entry i receives layer i's
+  /// input for every layer run, and the last entry the output, so
+  /// forward_from(l, (*inputs)[l]) later replays the tail from layer l.
+  /// A change confined to layers at or after l leaves (*inputs)[l] valid:
+  /// the BFA trials rerun only the layers a flipped weight can reach.
+  Tensor forward_from(std::size_t first, const Tensor& x, bool train = false,
+                      std::vector<Tensor>* inputs = nullptr);
+
   void backward(const Tensor& grad_loss);
 
   [[nodiscard]] std::vector<Param*> params();

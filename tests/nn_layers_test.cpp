@@ -8,6 +8,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -431,6 +432,35 @@ TEST(BasicBlock, BackwardProducesInputGradient) {
     mag += std::abs(dx[i]);
   }
   EXPECT_GT(mag, 0.0);
+}
+
+TEST(Model, ForwardFromReplaysTheTailAndHooksOnlyIt) {
+  dl::Rng rng(71);
+  Model m;
+  m.add(std::make_unique<Conv2d>(2, 3, 3, 1, 1, rng));
+  m.add(std::make_unique<ReLU>());
+  m.add(std::make_unique<GlobalAvgPool>());
+  m.add(std::make_unique<Linear>(3, 2, rng));
+  const Tensor x = randn({2, 2, 5, 5}, rng);
+  std::vector<std::size_t> hooked;
+  m.set_forward_hook([&](std::size_t i, Layer&) { hooked.push_back(i); });
+  const auto same = [](const Tensor& a, const Tensor& b) {
+    return a.shape() == b.shape() && same_bits(a.data(), b.data(), a.numel());
+  };
+
+  std::vector<Tensor> inputs;
+  const Tensor y = m.forward_from(0, x, /*train=*/false, &inputs);
+  EXPECT_EQ(hooked, (std::vector<std::size_t>{0, 1, 2, 3}));
+  ASSERT_EQ(inputs.size(), 5u);  // four layer inputs, then the output
+  EXPECT_TRUE(same(inputs[0], x));
+  EXPECT_TRUE(same(inputs[4], y));
+  EXPECT_TRUE(same(m.forward(x), y));
+
+  hooked.clear();
+  EXPECT_TRUE(same(m.forward_from(2, inputs[2]), y));
+  EXPECT_EQ(hooked, (std::vector<std::size_t>{2, 3}));
+  EXPECT_TRUE(same(m.forward_from(4, inputs[4]), y));
+  EXPECT_THROW((void)m.forward_from(5, y), dl::Error);
 }
 
 TEST(SoftmaxCrossEntropy, UniformLogits) {
